@@ -1,11 +1,92 @@
 #include "cli/report.hpp"
 
+#include <cstdint>
 #include <iomanip>
 #include <ostream>
+#include <sstream>
+#include <type_traits>
+#include <vector>
 
 #include "support/json.hpp"
 
 namespace lazymc::cli {
+
+namespace {
+
+/// Visits every schema field of a solve (support/stats_schema.hpp).
+template <class F>
+void for_each_field(const mc::LazyMCResult& lz, F&& fn) {
+  lz.phases.for_each(fn);
+  lz.lazy_graph.for_each(fn);
+  lz.search.for_each(fn);
+}
+
+void write_stats_text(const mc::LazyMCResult& lz, std::ostream& out) {
+  bool shown = true;
+  const auto line = [&](stats::Line id, const char* prefix,
+                        const char* suffix, const char* unit,
+                        stats::Gate gate) {
+    std::ostringstream fields;
+    fields.copyfmt(out);
+    std::uint64_t counts = 0;  // wraps exactly like a hand-written sum
+    double seconds = 0;
+    for_each_field(lz, [&](const stats::Field& f, const auto& value) {
+      using T = std::decay_t<decltype(value)>;
+      if (f.line != id) return;
+      fields << ' ' << f.label << '=';
+      if constexpr (std::is_same_v<T, std::vector<IncumbentImprovement>>) {
+        fields << value.size();
+        if (!value.empty()) {
+          fields << " (last at " << value.back().seconds << unit << ")";
+        }
+      } else if constexpr (std::is_same_v<T, double>) {
+        fields << value << unit;
+        seconds += value;
+      } else {
+        fields << value;
+        if constexpr (std::is_same_v<T, std::uint64_t>) counts += value;
+      }
+    });
+    if (gate == stats::Gate::kAlways) shown = true;
+    if (gate == stats::Gate::kIfAny) shown = counts > 0 || seconds > 0;
+    if (shown) out << prefix << fields.str() << suffix;
+  };
+#define LAZYMC_TEXT_LINE(id, prefix, suffix, unit, gate) \
+  line(stats::Line::id, prefix, suffix, unit, stats::Gate::gate);
+  LAZYMC_TEXT_LINES(LAZYMC_TEXT_LINE)
+#undef LAZYMC_TEXT_LINE
+}
+
+void write_stats_json(const mc::LazyMCResult& lz, JsonWriter& w) {
+  int depth = 0;  // open groups: 1 top-level, 2 nested
+  const auto group = [&](stats::Group id, const char* key, bool nested) {
+    for (; depth > (nested ? 1 : 0); --depth) w.close();
+    w.open(key);
+    ++depth;
+    for_each_field(lz, [&](const stats::Field& f, const auto& value) {
+      using T = std::decay_t<decltype(value)>;
+      if (f.group != id) return;
+      if constexpr (std::is_same_v<T, std::vector<IncumbentImprovement>>) {
+        w.open_array(f.key);
+        for (const auto& imp : value) {
+          w.open();
+          w.field("size", imp.size);
+          w.field("seconds", imp.seconds);
+          w.close();
+        }
+        w.close_array();
+      } else {
+        w.field(f.key, value);
+      }
+    });
+  };
+#define LAZYMC_JSON_GROUP(id, key, nested) group(stats::Group::id, key, nested);
+  LAZYMC_JSON_GROUPS(LAZYMC_JSON_GROUP)
+#undef LAZYMC_JSON_GROUP
+  for (; depth > 0; --depth) w.close();
+}
+
+}  // namespace
 
 void render_text(const RunReport& r, std::ostream& out) {
   out << "graph:    " << r.graph << "  (" << r.num_vertices << " vertices, "
@@ -47,63 +128,7 @@ void render_text(const RunReport& r, std::ostream& out) {
       << "; degeneracy d=" << lz.degeneracy;
   if (gap >= 0) out << " (clique-core gap " << gap << ")";
   out << "\n";
-  out << "phases (s): degree-heur=" << lz.phases.degree_heuristic
-      << " preprocess=" << lz.phases.preprocessing
-      << " must-subgraph=" << lz.phases.must_subgraph
-      << " coreness-heur=" << lz.phases.coreness_heuristic
-      << " systematic=" << lz.phases.systematic
-      << " total=" << lz.phases.total() << "\n";
-  const auto& s = lz.search;
-  out << "search:   evaluated=" << s.evaluated
-      << " pass1=" << s.pass_filter1 << " pass2=" << s.pass_filter2
-      << " pass3=" << s.pass_filter3 << " solved-mc=" << s.solved_mc
-      << " solved-vc=" << s.solved_vc << " vc-fallbacks=" << s.vc_fallbacks
-      << " retired-chunks=" << s.retired_chunks << "\n";
-  out << "split:    tasks=" << s.split_tasks
-      << " retired-subtasks=" << s.retired_subtasks
-      << " max-depth=" << s.max_split_depth
-      << " work-rejected=" << s.split_work_rejected << "\n";
-  if (s.time_to_first_solution > 0) {
-    out << "anytime:  first-solution=" << s.time_to_first_solution
-        << "s improvements=" << s.improvements.size()
-        << " (last at " << s.improvements.back().seconds << "s)\n";
-  }
-  const auto& lg = lz.lazy_graph;
-  if (lg.bitset_degraded + s.degraded_wordsets + s.degraded_splits > 0) {
-    out << "degraded: bitset-rows=" << lg.bitset_degraded
-        << " wordsets=" << s.degraded_wordsets
-        << " splits=" << s.degraded_splits
-        << " (recovered allocation failures)\n";
-  }
-  out << "          mc-nodes=" << s.mc_nodes << " vc-nodes=" << s.vc_nodes
-      << " filter=" << s.filter_seconds << "s mc=" << s.mc_seconds
-      << "s vc=" << s.vc_seconds << "s\n";
-  out << "kernels:  merge=" << s.kernel_merge << " gallop=" << s.kernel_gallop
-      << " hash=" << s.kernel_hash
-      << " hash-batched=" << s.kernel_hash_batched
-      << " bitset-probe=" << s.kernel_bitset_probe
-      << " bitset-word=" << s.kernel_bitset_word
-      << " array-gallop=" << s.kernel_array_gallop
-      << " run-and=" << s.kernel_run_and << "\n";
-  out << "          simd-tier=" << s.simd_tier
-      << " word-scalar=" << s.kernel_word_scalar
-      << " word-avx2=" << s.kernel_word_avx2
-      << " word-avx512=" << s.kernel_word_avx512 << "\n";
-  const auto& g = lz.lazy_graph;
-  out << "lazygraph: hash-built=" << g.hash_built
-      << " sorted-built=" << g.sorted_built
-      << " bitset-built=" << g.bitset_built
-      << " rows-prebuilt=" << g.rows_prebuilt
-      << " bitset-bytes=" << g.bitset_bytes << " zone=" << g.zone_size
-      << "\n           neighbors-kept=" << g.neighbors_kept
-      << " neighbors-filtered=" << g.neighbors_filtered << "\n";
-  if (g.hybrid_rows_array + g.hybrid_rows_bitset + g.hybrid_rows_run > 0) {
-    out << "hybrid:   rows array=" << g.hybrid_rows_array
-        << " bitset=" << g.hybrid_rows_bitset << " run=" << g.hybrid_rows_run
-        << "\n          bytes array=" << g.hybrid_array_bytes
-        << " bitset=" << g.hybrid_bitset_bytes
-        << " run=" << g.hybrid_run_bytes << "\n";
-  }
+  write_stats_text(lz, out);
 }
 
 void render_json(const RunReport& r, std::ostream& out) {
@@ -130,83 +155,7 @@ void render_json(const RunReport& r, std::ostream& out) {
     w.field("heuristic_degree_omega", lz.heuristic_degree_omega);
     w.field("heuristic_coreness_omega", lz.heuristic_coreness_omega);
     w.field("degeneracy", lz.degeneracy);
-    w.open("phases");
-    w.field("degree_heuristic", lz.phases.degree_heuristic);
-    w.field("preprocessing", lz.phases.preprocessing);
-    w.field("must_subgraph", lz.phases.must_subgraph);
-    w.field("coreness_heuristic", lz.phases.coreness_heuristic);
-    w.field("systematic", lz.phases.systematic);
-    w.field("total", lz.phases.total());
-    w.close();
-    const auto& s = lz.search;
-    w.open("search");
-    w.field("evaluated", s.evaluated);
-    w.field("pass_filter1", s.pass_filter1);
-    w.field("pass_filter2", s.pass_filter2);
-    w.field("pass_filter3", s.pass_filter3);
-    w.field("solved_mc", s.solved_mc);
-    w.field("solved_vc", s.solved_vc);
-    w.field("vc_fallbacks", s.vc_fallbacks);
-    w.field("retired_chunks", s.retired_chunks);
-    w.field("split_tasks", s.split_tasks);
-    w.field("retired_subtasks", s.retired_subtasks);
-    w.field("max_split_depth", s.max_split_depth);
-    w.field("split_work_rejected", s.split_work_rejected);
-    w.field("time_to_first_solution", s.time_to_first_solution);
-    w.open_array("improvements");
-    for (const auto& imp : s.improvements) {
-      w.open();
-      w.field("size", imp.size);
-      w.field("seconds", imp.seconds);
-      w.close();
-    }
-    w.close_array();
-    w.field("filter_seconds", s.filter_seconds);
-    w.field("mc_seconds", s.mc_seconds);
-    w.field("vc_seconds", s.vc_seconds);
-    w.field("mc_nodes", s.mc_nodes);
-    w.field("vc_nodes", s.vc_nodes);
-    w.open("kernels");
-    w.field("merge", s.kernel_merge);
-    w.field("gallop", s.kernel_gallop);
-    w.field("hash", s.kernel_hash);
-    w.field("hash_batched", s.kernel_hash_batched);
-    w.field("bitset_probe", s.kernel_bitset_probe);
-    w.field("bitset_word", s.kernel_bitset_word);
-    w.field("array_gallop", s.kernel_array_gallop);
-    w.field("run_and", s.kernel_run_and);
-    w.field("tier", s.simd_tier);
-    w.field("word_scalar", s.kernel_word_scalar);
-    w.field("word_avx2", s.kernel_word_avx2);
-    w.field("word_avx512", s.kernel_word_avx512);
-    w.close();
-    w.close();
-    const auto& g = lz.lazy_graph;
-    w.open("lazy_graph");
-    w.field("hash_built", g.hash_built);
-    w.field("sorted_built", g.sorted_built);
-    w.field("bitset_built", g.bitset_built);
-    w.field("rows_prebuilt", g.rows_prebuilt);
-    w.field("bitset_bytes", g.bitset_bytes);
-    w.field("zone_size", g.zone_size);
-    w.field("neighbors_kept", g.neighbors_kept);
-    w.field("neighbors_filtered", g.neighbors_filtered);
-    w.open("hybrid_rows");
-    w.field("array", g.hybrid_rows_array);
-    w.field("bitset", g.hybrid_rows_bitset);
-    w.field("run", g.hybrid_rows_run);
-    w.field("array_bytes", g.hybrid_array_bytes);
-    w.field("bitset_bytes", g.hybrid_bitset_bytes);
-    w.field("run_bytes", g.hybrid_run_bytes);
-    w.close();
-    w.close();
-    // Graceful-degradation counters (failure model): recovered
-    // allocation failures, by fallback path.
-    w.open("degradations");
-    w.field("bitset_rows", g.bitset_degraded);
-    w.field("wordsets", s.degraded_wordsets);
-    w.field("splits", s.degraded_splits);
-    w.close();
+    write_stats_json(lz, w);
   }
   if (!r.fault_sites.empty()) {
     w.open("fault_injection");

@@ -135,6 +135,9 @@ struct Daemon {
   GraphStore store;
   cli::Journal journal;
   Mutex journal_mutex;  ///< record()/reopen() from executors + accept loop
+  /// Lazy-graph stats summed over completed solves (status verb), updated
+  /// with each journal record.
+  LazyGraph::Stats lazy_graph_totals LAZYMC_GUARDED_BY(journal_mutex);
 
   std::unique_ptr<RequestBroker> broker;
   std::unique_ptr<Watchdog> watchdog;
@@ -146,13 +149,6 @@ struct Daemon {
   std::atomic<bool> drain_requested{false};
   std::atomic<bool> stop_requested{false};
   std::atomic<bool> closing_connections{false};
-
-  /// Cumulative hybrid-row build totals across completed solves (status
-  /// verb reporting; relaxed — monitoring, not coordination).
-  std::atomic<std::uint64_t> hybrid_rows_array{0};
-  std::atomic<std::uint64_t> hybrid_rows_bitset{0};
-  std::atomic<std::uint64_t> hybrid_rows_run{0};
-  std::atomic<std::uint64_t> hybrid_row_bytes{0};
 
   /// One ticket -> one response line (the broker's SolveFn).
   std::string solve_ticket(RequestTicket& ticket) {
@@ -232,18 +228,9 @@ struct Daemon {
                       report.request_id + " on " + report.graph);
     }
 
-    const LazyGraph::Stats& lg = report.lazymc.lazy_graph;
-    hybrid_rows_array.fetch_add(lg.hybrid_rows_array,
-                                std::memory_order_relaxed);
-    hybrid_rows_bitset.fetch_add(lg.hybrid_rows_bitset,
-                                 std::memory_order_relaxed);
-    hybrid_rows_run.fetch_add(lg.hybrid_rows_run, std::memory_order_relaxed);
-    hybrid_row_bytes.fetch_add(lg.hybrid_array_bytes + lg.hybrid_bitset_bytes +
-                                   lg.hybrid_run_bytes,
-                               std::memory_order_relaxed);
-
     {
       MutexLock lock(journal_mutex);
+      lazy_graph_totals += report.lazymc.lazy_graph;
       journal.record(ticket.graph(), report.request_status, report.omega);
     }
 
@@ -293,12 +280,23 @@ struct Daemon {
     w.field("cancels", watchdog->cancels());
     w.field("stalls", watchdog->stalls());
     w.close();
-    w.open("hybrid_rows");
-    w.field("array", hybrid_rows_array.load(std::memory_order_relaxed));
-    w.field("bitset", hybrid_rows_bitset.load(std::memory_order_relaxed));
-    w.field("run", hybrid_rows_run.load(std::memory_order_relaxed));
-    w.field("bytes", hybrid_row_bytes.load(std::memory_order_relaxed));
-    w.close();
+    // Cumulative hybrid rows: the row counts of the schema's hybrid_rows
+    // group under their keys, and its byte counts summed into "bytes".
+    {
+      MutexLock lock(journal_mutex);
+      std::uint64_t bytes = 0;
+      w.open("hybrid_rows");
+      lazy_graph_totals.for_each([&](const stats::Field& f, std::uint64_t v) {
+        if (f.group != stats::Group::kHybridRows) return;
+        if (f.kind == stats::Kind::kBytes) {
+          bytes += v;
+        } else {
+          w.field(f.key, v);
+        }
+      });
+      w.field("bytes", bytes);
+      w.close();
+    }
     w.field("recovered_stale", recovered_stale);
     w.field("journal_recovered", journal_recovered);
     w.close();

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "intersect/intersect.hpp"
 #include "support/faultinject.hpp"
@@ -64,8 +65,8 @@ std::vector<VertexId> LazyGraph::filtered_neighbors(VertexId v) const {
       ++filtered;
     }
   }
-  stat_kept_.fetch_add(result.size(), std::memory_order_relaxed);
-  stat_filtered_.fetch_add(filtered, std::memory_order_relaxed);
+  stat_.neighbors_kept.fetch_add(result.size(), std::memory_order_relaxed);
+  stat_.neighbors_filtered.fetch_add(filtered, std::memory_order_relaxed);
   return result;
 }
 
@@ -75,7 +76,7 @@ void LazyGraph::build_hash(VertexId v) {
   std::vector<VertexId> nbrs = filtered_neighbors(v);
   hash_[v].reserve(nbrs.size());
   for (VertexId u : nbrs) hash_[v].insert(u);
-  stat_hash_built_.fetch_add(1, std::memory_order_relaxed);
+  stat_.hash_built.fetch_add(1, std::memory_order_relaxed);
   flags_[v].fetch_or(kHashBuilt, std::memory_order_release);
 }
 
@@ -88,7 +89,7 @@ void LazyGraph::build_sorted(VertexId v) {
   right_begin_[v] = static_cast<std::uint32_t>(
       std::upper_bound(sorted_[v].begin(), sorted_[v].end(), v) -
       sorted_[v].begin());
-  stat_sorted_built_.fetch_add(1, std::memory_order_relaxed);
+  stat_.sorted_built.fetch_add(1, std::memory_order_relaxed);
   flags_[v].fetch_or(kSortedBuilt, std::memory_order_release);
 }
 
@@ -167,7 +168,7 @@ void LazyGraph::build_bitset(VertexId v) {
     // kBitsetBuilt clear so membership() falls back to hash/sorted.  The
     // exhausted flag stays down — later rows get their own chance.
     bitset_budget_words_.fetch_add(words, std::memory_order_relaxed);
-    stat_bitset_degraded_.fetch_add(1, std::memory_order_relaxed);
+    stat_.bitset_degraded.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   // Rows are carved at a 64-byte stride from 64-byte-aligned slabs; the
@@ -193,8 +194,9 @@ void LazyGraph::build_bitset(VertexId v) {
       "bitset row popcount does not match the bits written");
   row_ptr_[v - zone_begin_] = row;
   row_count_[v - zone_begin_] = count;
-  stat_bitset_built_.fetch_add(1, std::memory_order_relaxed);
-  stat_bitset_words_.fetch_add(row_stride_words_, std::memory_order_relaxed);
+  stat_.bitset_built.fetch_add(1, std::memory_order_relaxed);
+  stat_.bitset_bytes.fetch_add(row_stride_words_ * 8,
+                               std::memory_order_relaxed);
   // The release publishes the row pointer and its contents to readers
   // that load the flag with acquire (row_view).
   flags_[v].fetch_or(kBitsetBuilt, std::memory_order_release);
@@ -243,7 +245,7 @@ void LazyGraph::build_hybrid(VertexId v) {
       }
     }
   } catch (const std::bad_alloc&) {
-    stat_bitset_degraded_.fetch_add(1, std::memory_order_relaxed);
+    stat_.bitset_degraded.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   const std::uint32_t count = static_cast<std::uint32_t>(offs.size());
@@ -300,7 +302,7 @@ void LazyGraph::build_hybrid(VertexId v) {
       // returns the stride), this vertex degrades, later rows still get
       // their chance.
       bitset_budget_words_.fetch_add(words, std::memory_order_relaxed);
-      stat_bitset_degraded_.fetch_add(1, std::memory_order_relaxed);
+      stat_.bitset_degraded.fetch_add(1, std::memory_order_relaxed);
       return;
     }
     LAZYMC_ASSERT(reinterpret_cast<std::uintptr_t>(row) % 64 == 0,
@@ -342,12 +344,16 @@ void LazyGraph::build_hybrid(VertexId v) {
   row_count_[zi] = count;
   row_units_[zi] = units;
   row_kind_[zi] = static_cast<std::uint8_t>(kind);
-  stat_bitset_built_.fetch_add(1, std::memory_order_relaxed);
-  stat_bitset_words_.fetch_add(stride, std::memory_order_relaxed);
-  stat_hybrid_rows_[static_cast<std::size_t>(kind)].fetch_add(
-      1, std::memory_order_relaxed);
-  stat_hybrid_words_[static_cast<std::size_t>(kind)].fetch_add(
-      stride, std::memory_order_relaxed);
+  stat_.bitset_built.fetch_add(1, std::memory_order_relaxed);
+  stat_.bitset_bytes.fetch_add(stride * 8, std::memory_order_relaxed);
+  const auto [rows, bytes] =
+      kind == RowContainer::kArray
+          ? std::pair{&stat_.hybrid_rows_array, &stat_.hybrid_array_bytes}
+      : kind == RowContainer::kRun
+          ? std::pair{&stat_.hybrid_rows_run, &stat_.hybrid_run_bytes}
+          : std::pair{&stat_.hybrid_rows_bitset, &stat_.hybrid_bitset_bytes};
+  rows->fetch_add(1, std::memory_order_relaxed);
+  bytes->fetch_add(stride * 8, std::memory_order_relaxed);
   // The release publishes the row pointer, payload, and container
   // metadata to readers that load the flag with acquire (hybrid_view).
   flags_[v].fetch_or(kBitsetBuilt, std::memory_order_release);
@@ -405,6 +411,7 @@ bool LazyGraph::init_zone(std::size_t budget_bytes) {
   bitset_budget_words_.store(static_cast<std::int64_t>(budget_words),
                              std::memory_order_relaxed);
   bitset_exhausted_.store(false, std::memory_order_relaxed);
+  stat_.zone_size.store(zone_bits_, std::memory_order_relaxed);
   return true;
 }
 
@@ -481,7 +488,8 @@ bool LazyGraph::adopt_prebuilt_rows(const PrebuiltRows& rows, bool hybrid) {
   // exists), and out-of-zone vertices never get rows by construction.
   bitset_budget_words_.store(0, std::memory_order_relaxed);
   bitset_exhausted_.store(false, std::memory_order_relaxed);
-  rows_prebuilt_ = zone_bits_;
+  stat_.rows_prebuilt.store(zone_bits_, std::memory_order_relaxed);
+  stat_.zone_size.store(zone_bits_, std::memory_order_relaxed);
   for (VertexId v = zone_begin_; v < n_; ++v) {
     // The release publishes the pointers and metadata written above to
     // readers that load the flag with acquire (row_view / hybrid_view).
@@ -600,6 +608,9 @@ void LazyGraph::prepopulate(Prepopulate policy, VertexId must_threshold) {
     if (policy != Prepopulate::kAll && coreness_new_[v] < must_threshold) {
       return;
     }
+    // An already-built zone row (adopted from a binary store) shadows any
+    // other representation: membership() always dispatches to the row.
+    if (has_bitset(v)) return;
     // Build the preferred representation; hash is the historical default
     // and the fallback when a requested bitset row is unavailable.
     switch (rep_) {
@@ -627,30 +638,8 @@ void LazyGraph::prepopulate(Prepopulate policy, VertexId must_threshold) {
 }
 
 LazyGraph::Stats LazyGraph::stats() const {
-  constexpr auto kA = static_cast<std::size_t>(RowContainer::kArray);
-  constexpr auto kB = static_cast<std::size_t>(RowContainer::kBitset);
-  constexpr auto kR = static_cast<std::size_t>(RowContainer::kRun);
   Stats s;
-  s.hash_built = stat_hash_built_.load(std::memory_order_relaxed);
-  s.sorted_built = stat_sorted_built_.load(std::memory_order_relaxed);
-  s.bitset_built = stat_bitset_built_.load(std::memory_order_relaxed);
-  s.bitset_degraded = stat_bitset_degraded_.load(std::memory_order_relaxed);
-  s.rows_prebuilt = rows_prebuilt_;
-  s.bitset_bytes = stat_bitset_words_.load(std::memory_order_relaxed) * 8;
-  s.zone_size = (bitset_enabled_ || hybrid_enabled_)
-                    ? static_cast<std::size_t>(zone_bits_)
-                    : 0;
-  s.neighbors_kept = stat_kept_.load(std::memory_order_relaxed);
-  s.neighbors_filtered = stat_filtered_.load(std::memory_order_relaxed);
-  s.hybrid_rows_array = stat_hybrid_rows_[kA].load(std::memory_order_relaxed);
-  s.hybrid_rows_bitset = stat_hybrid_rows_[kB].load(std::memory_order_relaxed);
-  s.hybrid_rows_run = stat_hybrid_rows_[kR].load(std::memory_order_relaxed);
-  s.hybrid_array_bytes =
-      stat_hybrid_words_[kA].load(std::memory_order_relaxed) * 8;
-  s.hybrid_bitset_bytes =
-      stat_hybrid_words_[kB].load(std::memory_order_relaxed) * 8;
-  s.hybrid_run_bytes =
-      stat_hybrid_words_[kR].load(std::memory_order_relaxed) * 8;
+  s.load(stat_);
   // The committed row bytes are exactly the per-class sum in hybrid mode
   // (quiescent check: callers read stats after the search completes).
   LAZYMC_ASSERT(!hybrid_enabled_ ||

@@ -47,6 +47,7 @@
 #include "kcore/order.hpp"
 #include "support/check.hpp"
 #include "support/spinlock.hpp"
+#include "support/stats_schema.hpp"
 #include "support/thread_annotations.hpp"
 
 namespace lazymc {
@@ -228,28 +229,21 @@ class LazyGraph {
   /// rule (bitset rows when enabled and cheap).  Runs in parallel.
   void prepopulate(Prepopulate policy, VertexId must_threshold);
 
-  /// Instrumentation.
+  /// Instrumentation (LAZYMC_LAZY_GRAPH_STATS in support/stats_schema.hpp).
   struct Stats {
-    std::size_t hash_built = 0;
-    std::size_t sorted_built = 0;
-    std::size_t bitset_built = 0;
-    std::size_t bitset_degraded = 0;  // row builds that failed allocation
-                                      // and fell back to hash/sorted
-    std::size_t rows_prebuilt = 0;    // zone rows adopted from a binary
-                                      // store (never built, never carved)
-    std::size_t bitset_bytes = 0;  // row storage actually committed (all
-                                   // containers; the arena's carved total)
-    std::size_t zone_size = 0;     // bits per row (0 = rows disabled)
-    std::size_t neighbors_kept = 0;
-    std::size_t neighbors_filtered = 0;
-    // Hybrid rows: how many rows each container class won, and the carved
-    // bytes per class (all zero unless enable_hybrid_rows was called).
-    std::size_t hybrid_rows_array = 0;
-    std::size_t hybrid_rows_bitset = 0;
-    std::size_t hybrid_rows_run = 0;
-    std::size_t hybrid_array_bytes = 0;
-    std::size_t hybrid_bitset_bytes = 0;
-    std::size_t hybrid_run_bytes = 0;
+    LAZYMC_LAZY_GRAPH_STATS(LAZYMC_SNAPSHOT_FIELD)
+    template <class Live>  // LazyGraph's private Counters
+    void load(const Live& from) {
+      LAZYMC_LAZY_GRAPH_STATS(LAZYMC_LOAD_FIELD)
+    }
+    Stats& operator+=(const Stats& other) {
+      LAZYMC_LAZY_GRAPH_STATS(LAZYMC_MERGE_FIELD)
+      return *this;
+    }
+    template <class F>
+    void for_each(F&& fn) const {
+      LAZYMC_LAZY_GRAPH_STATS(LAZYMC_VISIT_FIELD)
+    }
   };
   Stats stats() const;
 
@@ -361,25 +355,15 @@ class LazyGraph {
   std::atomic<std::size_t> arena_waste_words_{0};
   std::vector<std::uint64_t*> row_ptr_;  // null until the row is built
   std::vector<std::uint32_t> row_count_;
-  // Rows adopted from a binary store (adopt_prebuilt_rows): the zone size
-  // at adoption, 0 when rows are lazily built.  The row pointers then
-  // alias read-only caller storage, never the arena.
-  std::size_t rows_prebuilt_ = 0;
   // Hybrid-row container metadata (zone-indexed, hybrid mode only).
   std::vector<std::uint32_t> row_units_;
   std::vector<std::uint8_t> row_kind_;
 
-  // stats counters (relaxed)
-  mutable std::atomic<std::size_t> stat_hash_built_{0};
-  mutable std::atomic<std::size_t> stat_sorted_built_{0};
-  mutable std::atomic<std::size_t> stat_bitset_built_{0};
-  mutable std::atomic<std::size_t> stat_bitset_degraded_{0};
-  mutable std::atomic<std::size_t> stat_bitset_words_{0};
-  mutable std::atomic<std::size_t> stat_kept_{0};
-  mutable std::atomic<std::size_t> stat_filtered_{0};
-  // Hybrid per-container tallies (rows and carved words per class).
-  mutable std::atomic<std::size_t> stat_hybrid_rows_[3]{};
-  mutable std::atomic<std::size_t> stat_hybrid_words_[3]{};
+  // Stats counters (relaxed).
+  struct Counters {
+    LAZYMC_LAZY_GRAPH_STATS(LAZYMC_LIVE_FIELD)
+  };
+  mutable Counters stat_;
 };
 
 }  // namespace lazymc

@@ -33,25 +33,16 @@
 #include "intersect/intersect.hpp"
 #include "lazygraph/lazy_graph.hpp"
 #include "support/simd.hpp"
+#include "support/stats_schema.hpp"
 
 namespace lazymc::mc {
 
-/// Where dispatched intersections ran (relaxed; one bump per call).
-/// `word_tier[t]` splits the bitset_word count by the SIMD tier
-/// (scalar/avx2/avx512) that executed the call, so forced-tier A/B runs
-/// and the reports can show which kernel generation did the work.
+/// Where dispatched intersections ran (relaxed; one bump per call; see
+/// LAZYMC_KERNEL_STATS).  `word_tier[t]` splits the bitset_word count by
+/// the SIMD tier that executed the call, so forced-tier A/B runs and the
+/// reports can show which kernel generation did the work.
 struct KernelCounters {
-  std::atomic<std::uint64_t> merge{0};
-  std::atomic<std::uint64_t> gallop{0};
-  std::atomic<std::uint64_t> hash{0};
-  std::atomic<std::uint64_t> hash_batched{0};
-  std::atomic<std::uint64_t> bitset_probe{0};
-  std::atomic<std::uint64_t> bitset_word{0};
-  /// Hybrid-row container kernels: word-cursor runs against the array
-  /// container and span-AND runs against the run container (the bitset
-  /// container counts under bitset_word — it runs the same tiered kernel).
-  std::atomic<std::uint64_t> array_gallop{0};
-  std::atomic<std::uint64_t> run_and{0};
+  LAZYMC_KERNEL_STATS(LAZYMC_LIVE_FIELD)
   std::atomic<std::uint64_t> word_tier[simd::kNumTiers]{};
 };
 

@@ -183,42 +183,7 @@ LazyMCResult lazy_mc(const Graph& g, const LazyMCConfig& config) {
   result.omega = static_cast<VertexId>(result.clique.size());
   result.timed_out = control.cancelled();
 
-  result.search.evaluated = stats.evaluated.load();
-  result.search.pass_filter1 = stats.pass_filter1.load();
-  result.search.pass_filter2 = stats.pass_filter2.load();
-  result.search.pass_filter3 = stats.pass_filter3.load();
-  result.search.solved_mc = stats.solved_mc.load();
-  result.search.solved_vc = stats.solved_vc.load();
-  result.search.vc_fallbacks = stats.vc_fallbacks.load();
-  result.search.retired_chunks = stats.retired_chunks.load();
-  result.search.split_tasks = stats.split_tasks.load();
-  result.search.retired_subtasks = stats.retired_subtasks.load();
-  result.search.max_split_depth = stats.max_split_depth.load();
-  result.search.split_work_rejected = stats.split_work_rejected.load();
-  result.search.degraded_wordsets = stats.degraded_wordsets.load();
-  result.search.degraded_splits = stats.degraded_splits.load();
-  result.search.kernel_merge = stats.kernels.merge.load();
-  result.search.kernel_gallop = stats.kernels.gallop.load();
-  result.search.kernel_hash = stats.kernels.hash.load();
-  result.search.kernel_hash_batched = stats.kernels.hash_batched.load();
-  result.search.kernel_bitset_probe = stats.kernels.bitset_probe.load();
-  result.search.kernel_bitset_word = stats.kernels.bitset_word.load();
-  result.search.kernel_array_gallop = stats.kernels.array_gallop.load();
-  result.search.kernel_run_and = stats.kernels.run_and.load();
-  result.search.kernel_word_scalar =
-      stats.kernels.word_tier[static_cast<std::size_t>(simd::Tier::kScalar)]
-          .load();
-  result.search.kernel_word_avx2 =
-      stats.kernels.word_tier[static_cast<std::size_t>(simd::Tier::kAvx2)]
-          .load();
-  result.search.kernel_word_avx512 =
-      stats.kernels.word_tier[static_cast<std::size_t>(simd::Tier::kAvx512)]
-          .load();
-  result.search.filter_seconds = stats.filter_seconds();
-  result.search.mc_seconds = stats.mc_seconds();
-  result.search.vc_seconds = stats.vc_seconds();
-  result.search.mc_nodes = stats.mc_nodes.load();
-  result.search.vc_nodes = stats.vc_nodes.load();
+  result.search.load(stats);
   result.search.improvements = incumbent.history();
   result.search.time_to_first_solution =
       result.search.improvements.empty()

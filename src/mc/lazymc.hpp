@@ -23,6 +23,7 @@
 #include "mc/neighbor_search.hpp"
 #include "support/control.hpp"
 #include "support/simd.hpp"
+#include "support/stats_schema.hpp"
 
 namespace lazymc::mc {
 
@@ -140,68 +141,25 @@ struct LazyMCConfig {
   const PrebuiltGraph* prebuilt = nullptr;
 };
 
-/// Per-phase wall-clock seconds (Fig. 2 / Fig. 7 stacks).
+/// Per-phase wall-clock seconds (LAZYMC_PHASE_TIMES).
 struct PhaseTimes {
-  double degree_heuristic = 0;
-  double preprocessing = 0;   // k-core + ordering
-  double must_subgraph = 0;   // prepopulation of the lazy graph
-  double coreness_heuristic = 0;
-  double systematic = 0;
+  LAZYMC_PHASE_TIMES(LAZYMC_SNAPSHOT_FIELD)
 
   double total() const {
-    return degree_heuristic + preprocessing + must_subgraph +
-           coreness_heuristic + systematic;
+    double sum = 0;
+#define LAZYMC_ADD_PHASE(name, ...) sum += name;
+    LAZYMC_PHASE_TIMES(LAZYMC_ADD_PHASE)
+#undef LAZYMC_ADD_PHASE
+    return sum;
   }
-};
 
-/// Plain-value copy of SearchStats (which is atomic and non-copyable).
-struct SearchStatsSnapshot {
-  std::uint64_t evaluated = 0;
-  std::uint64_t pass_filter1 = 0;
-  std::uint64_t pass_filter2 = 0;
-  std::uint64_t pass_filter3 = 0;
-  std::uint64_t solved_mc = 0;
-  std::uint64_t solved_vc = 0;
-  std::uint64_t vc_fallbacks = 0;
-  std::uint64_t retired_chunks = 0;
-  // Subproblem decomposition (two-level drain).
-  std::uint64_t split_tasks = 0;
-  std::uint64_t retired_subtasks = 0;
-  std::uint64_t max_split_depth = 0;
-  std::uint64_t split_work_rejected = 0;
-  // Graceful degradation: recovered allocation failures (failure model).
-  std::uint64_t degraded_wordsets = 0;
-  std::uint64_t degraded_splits = 0;
-  // Adaptive-dispatch kernel counts (KernelCounters snapshot).
-  std::uint64_t kernel_merge = 0;
-  std::uint64_t kernel_gallop = 0;
-  std::uint64_t kernel_hash = 0;
-  std::uint64_t kernel_hash_batched = 0;
-  std::uint64_t kernel_bitset_probe = 0;
-  std::uint64_t kernel_bitset_word = 0;
-  // Hybrid-row container kernels (array word-cursor / run span-AND; the
-  // hybrid bitset container counts under kernel_bitset_word).
-  std::uint64_t kernel_array_gallop = 0;
-  std::uint64_t kernel_run_and = 0;
-  // bitset-word calls split by executing SIMD tier, plus the tier the
-  // dispatcher had selected when the solve ran ("scalar"/"avx2"/"avx512").
-  std::uint64_t kernel_word_scalar = 0;
-  std::uint64_t kernel_word_avx2 = 0;
-  std::uint64_t kernel_word_avx512 = 0;
-  std::string simd_tier;
-  double filter_seconds = 0;
-  double mc_seconds = 0;
-  double vc_seconds = 0;
-  std::uint64_t mc_nodes = 0;
-  std::uint64_t vc_nodes = 0;
-  // Anytime behaviour: when each improving incumbent was installed,
-  // measured from solver start.  time_to_first_solution is the first
-  // entry's timestamp (0 when no solution was found).
-  double time_to_first_solution = 0;
-  std::vector<IncumbentImprovement> improvements;
-
-  double work_seconds() const {
-    return filter_seconds + mc_seconds + vc_seconds;
+  /// Visits every phase, then the total.
+  template <class F>
+  void for_each(F&& fn) const {
+    LAZYMC_PHASE_TIMES(LAZYMC_VISIT_FIELD)
+    fn(stats::Field{stats::Kind::kSet, stats::Line::kPhases, "total",
+                    stats::Group::kPhases, "total"},
+       total());
   }
 };
 

@@ -46,6 +46,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "lazygraph/lazy_graph.hpp"
@@ -54,65 +55,51 @@
 #include "mc/incumbent.hpp"
 #include "mc/intersect_policy.hpp"
 #include "support/control.hpp"
+#include "support/stats_schema.hpp"
 #include "vc/mc_via_vc.hpp"
 
 namespace lazymc::mc {
 
-/// Aggregated instrumentation across all NeighborSearch calls (Table III,
-/// Fig. 3).  Counters are relaxed atomics: updated once per neighborhood.
+/// Aggregated instrumentation across all NeighborSearch calls: relaxed
+/// atomics (support/stats_schema.hpp) updated once per neighborhood.
 struct SearchStats {
-  // Funnel counts (Table III): neighborhoods surviving each stage.
-  std::atomic<std::uint64_t> evaluated{0};       // NeighborSearch calls
-  std::atomic<std::uint64_t> pass_filter1{0};    // after coreness filter
-  std::atomic<std::uint64_t> pass_filter2{0};    // after 1st degree filter
-  std::atomic<std::uint64_t> pass_filter3{0};    // after 2nd degree filter
-  // Algorithmic choice (Fig. 3).
-  std::atomic<std::uint64_t> solved_mc{0};
-  std::atomic<std::uint64_t> solved_vc{0};
-  // k-VC probes abandoned on node budget and re-solved as MC.
-  std::atomic<std::uint64_t> vc_fallbacks{0};
-  // Worklist chunks retired unvisited because the incumbent had grown
-  // past their coreness by claim time (incumbent broadcast at work).
-  std::atomic<std::uint64_t> retired_chunks{0};
-  // Subproblem decomposition: B&B root frames carved onto the work queue,
-  // tasks retired at claim time because the incumbent outgrew their
-  // coloring bound, and the deepest split generation reached.
-  std::atomic<std::uint64_t> split_tasks{0};
-  std::atomic<std::uint64_t> retired_subtasks{0};
-  std::atomic<std::uint64_t> max_split_depth{0};
-  // Frames big enough for the raw count rule (split_min_cands) that the
-  // work estimate (candidates x density, split_min_work mode) rejected.
-  std::atomic<std::uint64_t> split_work_rejected{0};
-  // Graceful degradation (failure model): each count is one recovered
-  // allocation failure that would previously have aborted the solve.
-  // SparseWordSet builds that failed — the filter round ran on scalar
-  // kernels instead of word-parallel ones.
-  std::atomic<std::uint64_t> degraded_wordsets{0};
-  // Subproblem decompositions that failed to materialize — the B&B
-  // solved the frame inline on the probing thread instead of splitting.
-  std::atomic<std::uint64_t> degraded_splits{0};
+  LAZYMC_SEARCH_STATS(LAZYMC_LIVE_FIELD)
   // Where the adaptive dispatcher ran each intersection (wired into every
   // IntersectPolicy used by the solve; see mc/intersect_policy.hpp).
   KernelCounters kernels;
-  // Work split in seconds (Fig. 3) and node counts (Fig. 6).
-  std::atomic<std::uint64_t> filter_ns{0};
-  std::atomic<std::uint64_t> mc_ns{0};
-  std::atomic<std::uint64_t> vc_ns{0};
-  std::atomic<std::uint64_t> mc_nodes{0};
-  std::atomic<std::uint64_t> vc_nodes{0};
+  LAZYMC_WORK_STATS(LAZYMC_LIVE_FIELD)
 
-  double filter_seconds() const {
-    return static_cast<double>(filter_ns.load()) * 1e-9;
-  }
-  double mc_seconds() const {
-    return static_cast<double>(mc_ns.load()) * 1e-9;
-  }
-  double vc_seconds() const {
-    return static_cast<double>(vc_ns.load()) * 1e-9;
-  }
   /// Total systematic-search work in seconds (Fig. 7 "work" ratio).
   double work_seconds() const {
     return filter_seconds() + mc_seconds() + vc_seconds();
+  }
+};
+
+/// Plain-value copy of SearchStats (which is atomic and non-copyable).
+struct SearchStatsSnapshot {
+  LAZYMC_SEARCH_STATS(LAZYMC_SNAPSHOT_FIELD)
+  LAZYMC_WORK_STATS(LAZYMC_SNAPSHOT_FIELD)
+  LAZYMC_KERNEL_STATS(LAZYMC_SNAPSHOT_FIELD)
+  double work_seconds() const {
+    return filter_seconds + mc_seconds + vc_seconds;
+  }
+
+  /// Copies every live counter; the fields without one (simd_tier and
+  /// the anytime fields) are left for the solve to set.
+  void load(const SearchStats& from) {
+    LAZYMC_SEARCH_STATS(LAZYMC_LOAD_FIELD)
+    LAZYMC_WORK_STATS(LAZYMC_LOAD_FIELD)
+    load(from.kernels);
+  }
+  void load(const KernelCounters& from) {
+    LAZYMC_KERNEL_STATS(LAZYMC_LOAD_FIELD)
+  }
+
+  template <class F>
+  void for_each(F&& fn) const {
+    LAZYMC_SEARCH_STATS(LAZYMC_VISIT_FIELD)
+    LAZYMC_WORK_STATS(LAZYMC_VISIT_FIELD)
+    LAZYMC_KERNEL_STATS(LAZYMC_VISIT_FIELD)
   }
 };
 

@@ -25,6 +25,7 @@
 #include "daemon/watchdog.hpp"
 #include "support/error.hpp"
 #include "support/jsonmini.hpp"
+#include "support/parallel.hpp"
 #include "support/socket.hpp"
 
 namespace lazymc::daemon {
@@ -477,6 +478,81 @@ TEST(GraphStoreTest, ConcurrentFirstRequestsShareOneLoad) {
     EXPECT_EQ(results[t].get(), results[0].get());
   }
   EXPECT_EQ(store.size(), 1u);
+}
+
+// ------------------------------------------------------------------- server
+
+/// The fields of the `"hybrid_rows":{...}` object in a response line.
+std::string hybrid_rows_object(const std::string& line) {
+  const std::string key = "\"hybrid_rows\":{";
+  const std::size_t begin = line.find(key);
+  if (begin == std::string::npos) return "";
+  const std::size_t end = line.find('}', begin);
+  return "{" + line.substr(begin + key.size(), end - begin - key.size()) + "}";
+}
+
+double number_field(const std::string& object, const std::string& key) {
+  double value = -1;
+  EXPECT_TRUE(json_get_number(object, key, value)) << key << " in " << object;
+  return value;
+}
+
+TEST(ServerTest, StatusSumsHybridRowsOfCompletedSolves) {
+  TempDir tmp;
+  ServerConfig config;
+  config.socket_path = tmp.path("d.sock");
+  config.pidfile_path = tmp.path("d.pid");
+  config.threads = 2;
+  Server server(config);
+  std::thread serving([&server] { EXPECT_EQ(server.run(), 0); });
+
+  net::Fd fd;
+  for (int attempt = 0; attempt < 500 && !fd.valid(); ++attempt) {
+    try {
+      fd = net::unix_connect(config.socket_path);
+    } catch (const Error&) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  ASSERT_TRUE(fd.valid());
+  net::LineChannel channel(fd.get());
+  const auto request = [&channel](const std::string& line) {
+    channel.write_line(line);
+    std::string reply;
+    EXPECT_EQ(channel.read_line(reply, /*timeout_ms=*/60000),
+              net::LineChannel::ReadStatus::kLine);
+    return reply;
+  };
+
+  double array = 0, bitset = 0, run = 0, bytes = 0;
+  for (const char* graph : {"gen:patents:tiny", "gen:WormNet:tiny"}) {
+    SCOPED_TRACE(graph);
+    const std::string reply = request(
+        std::string(R"({"verb":"solve","rep":"hybrid","graph":")") + graph +
+        R"("})");
+    const std::string rows = hybrid_rows_object(reply);
+    ASSERT_FALSE(rows.empty()) << reply;
+    array += number_field(rows, "array");
+    bitset += number_field(rows, "bitset");
+    run += number_field(rows, "run");
+    bytes += number_field(rows, "array_bytes") +
+             number_field(rows, "bitset_bytes") +
+             number_field(rows, "run_bytes");
+  }
+  EXPECT_GT(array, 0);  // patents wins array containers, WormNet bitsets
+  EXPECT_GT(bitset, 0);
+
+  const std::string totals = hybrid_rows_object(request(R"({"verb":"status"})"));
+  ASSERT_FALSE(totals.empty());
+  EXPECT_EQ(number_field(totals, "array"), array);
+  EXPECT_EQ(number_field(totals, "bitset"), bitset);
+  EXPECT_EQ(number_field(totals, "run"), run);
+  EXPECT_EQ(number_field(totals, "bytes"), bytes);
+
+  request(R"({"verb":"stop"})");
+  fd.reset();
+  serving.join();
+  set_num_threads(0);
 }
 
 }  // namespace

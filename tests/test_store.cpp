@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -346,6 +347,37 @@ TEST(Store, IncompatibleZoneFallsBackToLazyBuild) {
   EXPECT_EQ(adopted.omega, 2u);
   EXPECT_EQ(adopted.lazy_graph.rows_prebuilt, wide_view->zone_size());
   EXPECT_EQ(adopted.lazy_graph.bitset_built, 0u);
+}
+
+TEST(Store, PrepopulateSkipsVerticesWithAdoptedRows) {
+  // A zone of 6000 bits makes rows 94 words wide, so under kAuto the
+  // must subgraph's vertices of degree 17..23 would get hash sets (a row
+  // is "too expensive" for them) — but an adopted row already exists for
+  // every zone vertex and membership() always dispatches to it, so
+  // prepopulation must build nothing at all.
+  Graph g = gen::gnp(6000, 0.005, 11);
+  const std::string path = write_store(g, "shadow.lmg", true, 1);
+  auto view = store::BinaryGraphView::open(path);
+  ASSERT_TRUE(view->has_rows());
+  std::atomic<VertexId> incumbent{2};
+  const auto prepopulated = [&](bool adopt) {
+    LazyGraph lazy(g, view->order(), view->coreness(), &incumbent);
+    lazy.set_preferred_rep(NeighborhoodRep::kAuto);
+    if (adopt) {
+      EXPECT_TRUE(lazy.adopt_prebuilt_rows(view->rows(), /*hybrid=*/false));
+    } else {
+      lazy.enable_bitset_rows(std::size_t{64} << 20);
+    }
+    lazy.prepopulate(Prepopulate::kMustSubgraph, incumbent.load());
+    return lazy.stats();
+  };
+  // Control: with lazily built rows the same graph does build hash sets.
+  EXPECT_GT(prepopulated(false).hash_built, 0u);
+  const LazyGraph::Stats adopted = prepopulated(true);
+  EXPECT_EQ(adopted.rows_prebuilt, view->zone_size());
+  EXPECT_EQ(adopted.hash_built, 0u);
+  EXPECT_EQ(adopted.sorted_built, 0u);
+  EXPECT_EQ(adopted.bitset_built, 0u);
 }
 
 TEST(Store, StaleStoreIsIgnoredNotFatal) {
