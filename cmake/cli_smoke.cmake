@@ -152,6 +152,24 @@ run_lazymc(kern_out --graph "${clq}" --kernels scalar --json)
 expect("${kern_out}" "\"omega\":4" "kernels-scalar omega")
 expect("${kern_out}" "\"tier\":\"scalar\"" "forced tier surfaced in report")
 
+# 9. Zone-row accounting: --rep bitset builds every row as a bitset
+# container under the bitset-only policy, which the per-container
+# hybrid_rows counters do not count; --rep hybrid counts each row there.
+run_lazymc(bitset_text --graph gen:flickr:tiny --rep bitset)
+expect("${bitset_text}" "bitset-built=[1-9]" "bitset rows built lazily")
+if(bitset_text MATCHES "\nhybrid:")
+  message(FATAL_ERROR "--rep bitset printed a hybrid line:\n${bitset_text}")
+endif()
+run_lazymc(bitset_json --graph gen:flickr:tiny --rep bitset --json)
+string(REGEX MATCH "\"hybrid_rows\":{[^}]*}" bitset_hybrid "${bitset_json}")
+expect("${bitset_hybrid}" "\"array\":0" "bitset run: hybrid_rows present")
+if(bitset_hybrid MATCHES ":[1-9]")
+  message(FATAL_ERROR "--rep bitset counted hybrid rows: ${bitset_hybrid}")
+endif()
+run_lazymc(hybrid_json --graph gen:flickr:tiny --rep hybrid --json)
+string(REGEX MATCH "\"hybrid_rows\":{[^}]*}" hybrid_rows "${hybrid_json}")
+expect("${hybrid_rows}" ":[1-9]" "--rep hybrid counts its rows")
+
 # --- exit-code contract (documented in --help and the README) -----------
 
 function(expect_exit expected what)

@@ -3,16 +3,18 @@
 //
 // Both types live in "zone coordinates": the zone of interest is the
 // suffix [zone_begin, n) of relabelled vertex ids whose coreness was >=
-// the incumbent when bitset rows were enabled (LazyGraph keeps the zone
+// the incumbent when zone rows were enabled (LazyGraph keeps the zone
 // fixed from that point on; the incumbent only grows, so everything that
 // later matters stays inside it).  Bit i of a row stands for relabelled
 // vertex zone_begin + i.
 //
 //   BitsetRow      — a non-owning view of one vertex's packed filtered
-//                    neighborhood (built and memoized by LazyGraph).  It
-//                    satisfies the MembershipSet concept, so every scalar
-//                    probing kernel also works against it (a bit test
-//                    instead of a hash probe).
+//                    neighborhood: the word kernels' view of a kBitset
+//                    zone-row container (HybridRow::as_bitset; LazyGraph
+//                    builds and memoizes the rows).  It satisfies the
+//                    MembershipSet concept, so every scalar probing kernel
+//                    also works against it (a bit test instead of a hash
+//                    probe).
 //   SparseWordSet  — the query side A of |A ∩ B| > θ, as the list of
 //                    non-zero 64-bit words of A's characteristic vector.
 //                    Intersecting with a BitsetRow is then one AND +

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -18,9 +17,7 @@ bool NeighborhoodView::contains(VertexId v) const {
   if (!sorted_.empty()) {
     return std::binary_search(sorted_.begin(), sorted_.end(), v);
   }
-  if (row_.valid()) return row_.contains(v);
-  if (hybrid_.valid()) return hybrid_.contains(v);
-  return false;
+  return row_.valid() && row_.contains(v);
 }
 
 LazyGraph::LazyGraph(const Graph& g, const kcore::VertexOrder& order,
@@ -105,7 +102,7 @@ std::uint64_t* LazyGraph::carve(std::size_t stride_words) {
     if (slab_words_left_ > 0) {
       arena_waste_words_.fetch_add(slab_words_left_,
                                    std::memory_order_relaxed);
-      bitset_budget_words_.fetch_sub(
+      row_budget_words_.fetch_sub(
           static_cast<std::int64_t>(slab_words_left_),
           std::memory_order_relaxed);
       slab_words_left_ = 0;
@@ -116,7 +113,7 @@ std::uint64_t* LazyGraph::carve(std::size_t stride_words) {
     // allocation within the budget instead of overshooting by up to a
     // slab.
     const std::int64_t remaining =
-        bitset_budget_words_.load(std::memory_order_relaxed);
+        row_budget_words_.load(std::memory_order_relaxed);
     std::size_t words = stride_words;
     if (remaining > 0) {
       words += std::min(slab_words_ - stride_words,
@@ -143,139 +140,93 @@ std::uint64_t* LazyGraph::carve(std::size_t stride_words) {
   return row;
 }
 
-void LazyGraph::build_bitset(VertexId v) {
-  SpinLockGuard guard(locks_[v]);
-  if (flags_[v].load(std::memory_order_relaxed) & kBitsetBuilt) return;
-  if (bitset_exhausted_.load(std::memory_order_relaxed)) return;
-  // Reserve this row's words (at the aligned stride) from the global
-  // budget before committing.
-  const std::int64_t words = static_cast<std::int64_t>(row_stride_words_);
-  if (bitset_budget_words_.fetch_sub(words, std::memory_order_relaxed) <
-      words) {
-    bitset_budget_words_.fetch_add(words, std::memory_order_relaxed);
-    bitset_exhausted_.store(true, std::memory_order_relaxed);
-    return;
+bool LazyGraph::reserve_row_words(std::size_t words) {
+  const std::int64_t w = static_cast<std::int64_t>(words);
+  if (row_budget_words_.fetch_sub(w, std::memory_order_relaxed) < w) {
+    refund_row_words(words);
+    rows_exhausted_.store(true, std::memory_order_relaxed);
+    return false;
   }
+  return true;
+}
+
+void LazyGraph::build_row(VertexId v) {
+  SpinLockGuard guard(locks_[v]);
+  if (flags_[v].load(std::memory_order_relaxed) & kRowBuilt) return;
+  if (rows_exhausted_.load(std::memory_order_relaxed)) return;
+  const bool hybrid = policy_.hybrid;
+  // A bitset-only row is always one full stride, so it reserves its words
+  // before reading the neighborhood; a hybrid row's size depends on its
+  // offsets, so it reserves once they are known.
+  if (!hybrid && !reserve_row_words(row_stride_words_)) return;
+
+  // Phase 1 (may allocate): the filtered neighborhood.  Hybrid rows turn
+  // it into sorted in-zone offsets (in place) and split those into
+  // (start, length) runs; bitset-only rows fill their words straight from
+  // it.  An allocation failure degrades this one vertex to hash/sorted:
+  // reserved words go back (another row may still fit) and the exhausted
+  // flag stays down, so later rows get their own chance.
   std::vector<VertexId> nbrs;
-  std::uint64_t* row = nullptr;
+  std::vector<std::uint32_t> run_payload;
   try {
     LAZYMC_FAULT_BAD_ALLOC("bitset.row");
     nbrs = filtered_neighbors(v);
-    row = carve_row();
-  } catch (const std::bad_alloc&) {
-    // Allocation failure degrades this one vertex, not the solve: refund
-    // the reserved words (another row may still fit), count it, and leave
-    // kBitsetBuilt clear so membership() falls back to hash/sorted.  The
-    // exhausted flag stays down — later rows get their own chance.
-    bitset_budget_words_.fetch_add(words, std::memory_order_relaxed);
-    stat_.bitset_degraded.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  // Rows are carved at a 64-byte stride from 64-byte-aligned slabs; the
-  // SIMD tiers' aligned loads rely on this.
-  LAZYMC_ASSERT(reinterpret_cast<std::uintptr_t>(row) % 64 == 0,
-                "bitset row is not 64-byte aligned");
-  std::fill(row, row + row_words_, 0);
-  std::uint32_t count = 0;
-  for (VertexId u : nbrs) {
-    if (u < zone_begin_) continue;
-    const VertexId off = u - zone_begin_;
-    LAZYMC_ASSERT(off < zone_bits_,
-                  "bitset row bit outside the zone of interest");
-    row[off >> 6] |= 1ULL << (off & 63);
-    ++count;
-  }
-  LAZYMC_ASSERT_EXPENSIVE(
-      std::accumulate(row, row + row_words_, std::size_t{0},
-                      [](std::size_t acc, std::uint64_t w) {
-                        return acc + static_cast<std::size_t>(
-                                         std::popcount(w));
-                      }) == count,
-      "bitset row popcount does not match the bits written");
-  row_ptr_[v - zone_begin_] = row;
-  row_count_[v - zone_begin_] = count;
-  stat_.bitset_built.fetch_add(1, std::memory_order_relaxed);
-  stat_.bitset_bytes.fetch_add(row_stride_words_ * 8,
-                               std::memory_order_relaxed);
-  // The release publishes the row pointer and its contents to readers
-  // that load the flag with acquire (row_view).
-  flags_[v].fetch_or(kBitsetBuilt, std::memory_order_release);
-}
-
-namespace {
-// Payload of every empty hybrid row: valid pointer, zero units, no arena
-// charge.  Read-only after static initialization.
-std::uint64_t empty_hybrid_payload[1] = {0};
-}  // namespace
-
-void LazyGraph::build_hybrid(VertexId v) {
-  SpinLockGuard guard(locks_[v]);
-  if (flags_[v].load(std::memory_order_relaxed) & kBitsetBuilt) return;
-  if (bitset_exhausted_.load(std::memory_order_relaxed)) return;
-  const VertexId zi = v - zone_begin_;
-
-  // Phase 1 (may allocate, nothing reserved yet): the filtered
-  // neighborhood as sorted in-zone offsets, plus the run decomposition.
-  // An allocation failure here degrades this one vertex to hash/sorted.
-  std::vector<std::uint32_t> offs;
-  std::vector<std::uint32_t> run_payload;
-  std::uint32_t runs = 0;
-  try {
-    LAZYMC_FAULT_BAD_ALLOC("bitset.row");
-    std::vector<VertexId> nbrs = filtered_neighbors(v);
-    offs.reserve(nbrs.size());
-    for (VertexId u : nbrs) {
-      if (u < zone_begin_) continue;
-      const VertexId off = u - zone_begin_;
-      LAZYMC_ASSERT(off < zone_bits_,
-                    "hybrid row bit outside the zone of interest");
-      offs.push_back(static_cast<std::uint32_t>(off));
-    }
-    std::sort(offs.begin(), offs.end());
-    for (std::size_t i = 0; i < offs.size(); ++i) {
-      if (i == 0 || offs[i] != offs[i - 1] + 1) ++runs;
-    }
-    run_payload.reserve(2 * static_cast<std::size_t>(runs));
-    for (std::size_t i = 0; i < offs.size(); ++i) {
-      if (i == 0 || offs[i] != offs[i - 1] + 1) {
-        run_payload.push_back(offs[i]);  // start
-        run_payload.push_back(1);        // length
-      } else {
-        ++run_payload.back();
+    if (hybrid) {
+      std::size_t kept = 0;
+      for (VertexId u : nbrs) {
+        if (u >= zone_begin_) nbrs[kept++] = u - zone_begin_;
+      }
+      nbrs.resize(kept);
+      std::sort(nbrs.begin(), nbrs.end());
+      for (std::size_t i = 0; i < nbrs.size(); ++i) {
+        if (i == 0 || nbrs[i] != nbrs[i - 1] + 1) {
+          run_payload.push_back(nbrs[i]);  // start
+          run_payload.push_back(1);        // length
+        } else {
+          ++run_payload.back();
+        }
       }
     }
   } catch (const std::bad_alloc&) {
+    if (!hybrid) refund_row_words(row_stride_words_);
     stat_.bitset_degraded.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  const std::uint32_t count = static_cast<std::uint32_t>(offs.size());
+  // u - base is the zone offset of every entry u >= base: hybrid rows hold
+  // offsets already, bitset-only rows still hold relabelled ids.  The
+  // count is exact for hybrid rows; bitset-only rows count while filling.
+  const VertexId base = hybrid ? 0 : zone_begin_;
+  std::uint32_t count = static_cast<std::uint32_t>(nbrs.size());
 
-  // Container selection by per-row byte cost, at the carve granularity
-  // (whole 64-byte cache lines — the budget charges the stride):
+  // Container selection.  Bitset-only: the packed words, always.  Hybrid:
+  // by per-row byte cost at the carve granularity (whole 64-byte cache
+  // lines — the budget charges the stride):
   //   array  — count u32 offsets, eligible when count <= array_max and it
   //            actually undercuts the packed words;
-  //   run    — `runs` (start, len) pairs, chosen only when at least
+  //   run    — (start, len) pairs, chosen only when at least
   //            run_min_saving x smaller than the best dense alternative
   //            (cursor overhead is not worth a marginal saving);
-  //   bitset — row_words_ packed words, the dense default.
+  //   bitset — row_words_ packed words, the dense default;
+  // and an empty row is a zero-unit array that carves nothing.
   RowContainer kind = RowContainer::kBitset;
   std::size_t stride = row_stride_words_;
   std::uint32_t units = static_cast<std::uint32_t>(row_words_);
-  if (count == 0) {
+  if (hybrid && count == 0) {
     kind = RowContainer::kArray;
     stride = 0;
     units = 0;
-  } else {
+  } else if (hybrid) {
     const std::size_t stride_array =
         ((static_cast<std::size_t>(count) + 1) / 2 + 7) & ~std::size_t{7};
-    if (count <= hybrid_array_max_ && stride_array < stride) {
+    if (count <= policy_.array_max && stride_array < stride) {
       kind = RowContainer::kArray;
       stride = stride_array;
       units = count;
     }
+    const auto runs = static_cast<std::uint32_t>(run_payload.size() / 2);
     const std::size_t stride_run =
         (static_cast<std::size_t>(runs) + 7) & ~std::size_t{7};
-    if (static_cast<double>(stride_run) * hybrid_run_min_saving_ <=
+    if (static_cast<double>(stride_run) * policy_.run_min_saving <=
         static_cast<double>(stride)) {
       kind = RowContainer::kRun;
       stride = stride_run;
@@ -283,53 +234,55 @@ void LazyGraph::build_hybrid(VertexId v) {
     }
   }
 
-  std::uint64_t* row = empty_hybrid_payload;
+  const std::uint64_t* payload = kEmptyHybridPayload;
   if (stride > 0) {
-    // Reserve this container's words (at the carve stride) from the
-    // global budget before committing.
-    const std::int64_t words = static_cast<std::int64_t>(stride);
-    if (bitset_budget_words_.fetch_sub(words, std::memory_order_relaxed) <
-        words) {
-      bitset_budget_words_.fetch_add(words, std::memory_order_relaxed);
-      bitset_exhausted_.store(true, std::memory_order_relaxed);
-      return;
-    }
+    if (hybrid && !reserve_row_words(stride)) return;
+    std::uint64_t* row = nullptr;
     try {
       row = carve(stride);
     } catch (const std::bad_alloc&) {
-      // Same refund contract as build_bitset: the reserved words go back
-      // (stride included — the budget charged the stride, so the refund
-      // returns the stride), this vertex degrades, later rows still get
-      // their chance.
-      bitset_budget_words_.fetch_add(words, std::memory_order_relaxed);
+      // Same refund contract as phase 1 (the budget charged the stride,
+      // so the refund returns the stride).
+      refund_row_words(stride);
       stat_.bitset_degraded.fetch_add(1, std::memory_order_relaxed);
       return;
     }
+    // Rows are carved at a 64-byte stride from 64-byte-aligned slabs; the
+    // SIMD tiers' aligned loads rely on this.
     LAZYMC_ASSERT(reinterpret_cast<std::uintptr_t>(row) % 64 == 0,
-                  "hybrid row is not 64-byte aligned");
+                  "zone row is not 64-byte aligned");
     // Phase 2 (no-throw): fill the carved payload.  Slab words are
     // value-initialized, so padding past the payload stays zero.
     switch (kind) {
       case RowContainer::kArray:
-        std::memcpy(row, offs.data(), static_cast<std::size_t>(count) * 4);
+        std::memcpy(row, nbrs.data(), nbrs.size() * sizeof(VertexId));
         break;
       case RowContainer::kRun:
         std::memcpy(row, run_payload.data(), run_payload.size() * 4);
         break;
       case RowContainer::kBitset:
         std::fill(row, row + row_words_, 0);
-        for (std::uint32_t off : offs) {
+        count = 0;
+        for (VertexId u : nbrs) {
+          if (u < base) continue;
+          const VertexId off = u - base;
+          LAZYMC_ASSERT(off < zone_bits_,
+                        "zone row bit outside the zone of interest");
           row[off >> 6] |= 1ULL << (off & 63);
+          ++count;
         }
         break;
     }
+    payload = row;
   }
   LAZYMC_ASSERT_EXPENSIVE(
       ([&] {
-        const HybridRow hr{row,   zone_begin_, zone_bits_,
-                           count, units,       kind};
-        for (std::uint32_t off : offs) {
-          if (!hr.contains(zone_begin_ + off)) return false;
+        const HybridRow hr{payload, zone_begin_, zone_bits_,
+                           count,   units,       kind};
+        for (VertexId u : nbrs) {
+          if (u >= base && !hr.contains(zone_begin_ + (u - base))) {
+            return false;
+          }
         }
         std::size_t total = 0;
         hybrid_detail::for_each_word(hr, [&](std::uint32_t,
@@ -339,24 +292,28 @@ void LazyGraph::build_hybrid(VertexId v) {
         });
         return total == count;
       }()),
-      "hybrid row container does not reproduce the offsets written");
-  row_ptr_[zi] = row;
+      "zone row container does not reproduce the offsets written");
+  const VertexId zi = v - zone_begin_;
+  row_ptr_[zi] = payload;
   row_count_[zi] = count;
   row_units_[zi] = units;
   row_kind_[zi] = static_cast<std::uint8_t>(kind);
   stat_.bitset_built.fetch_add(1, std::memory_order_relaxed);
   stat_.bitset_bytes.fetch_add(stride * 8, std::memory_order_relaxed);
-  const auto [rows, bytes] =
-      kind == RowContainer::kArray
-          ? std::pair{&stat_.hybrid_rows_array, &stat_.hybrid_array_bytes}
-      : kind == RowContainer::kRun
-          ? std::pair{&stat_.hybrid_rows_run, &stat_.hybrid_run_bytes}
-          : std::pair{&stat_.hybrid_rows_bitset, &stat_.hybrid_bitset_bytes};
-  rows->fetch_add(1, std::memory_order_relaxed);
-  bytes->fetch_add(stride * 8, std::memory_order_relaxed);
+  if (hybrid) {
+    const auto [rows, bytes] =
+        kind == RowContainer::kArray
+            ? std::pair{&stat_.hybrid_rows_array, &stat_.hybrid_array_bytes}
+        : kind == RowContainer::kRun
+            ? std::pair{&stat_.hybrid_rows_run, &stat_.hybrid_run_bytes}
+            : std::pair{&stat_.hybrid_rows_bitset,
+                        &stat_.hybrid_bitset_bytes};
+    rows->fetch_add(1, std::memory_order_relaxed);
+    bytes->fetch_add(stride * 8, std::memory_order_relaxed);
+  }
   // The release publishes the row pointer, payload, and container
-  // metadata to readers that load the flag with acquire (hybrid_view).
-  flags_[v].fetch_or(kBitsetBuilt, std::memory_order_release);
+  // metadata to readers that load the flag with acquire (row_view).
+  flags_[v].fetch_or(kRowBuilt, std::memory_order_release);
 }
 
 bool LazyGraph::init_zone(std::size_t budget_bytes) {
@@ -374,6 +331,8 @@ bool LazyGraph::init_zone(std::size_t budget_bytes) {
   // The per-vertex bookkeeping (row pointer + popcount array) is O(zone)
   // and allocated up front, so it counts against the budget too —
   // otherwise a huge zone could dwarf the cap before any row is built.
+  // The 5-byte container metadata (units + kind) is not charged, so both
+  // policies admit rows against the same budget.
   const std::size_t overhead =
       static_cast<std::size_t>(zone_bits) *
       (sizeof(std::uint64_t*) + sizeof(std::uint32_t));
@@ -386,6 +345,8 @@ bool LazyGraph::init_zone(std::size_t budget_bytes) {
   row_stride_words_ = (row_words_ + 7) & ~std::size_t{7};
   row_ptr_.assign(zone_bits_, nullptr);
   row_count_.assign(zone_bits_, 0);
+  row_units_.assign(zone_bits_, 0);
+  row_kind_.assign(zone_bits_, 0);
   const std::size_t budget_words = (budget_bytes - overhead) / 8;
   // Arena slabs target ~1 MiB, rounded to whole rows, never exceeding
   // what the zone or the budget can use — the allocator is touched once
@@ -408,38 +369,27 @@ bool LazyGraph::init_zone(std::size_t budget_bytes) {
   arena_total_words_.store(0, std::memory_order_relaxed);
   arena_carved_words_.store(0, std::memory_order_relaxed);
   arena_waste_words_.store(0, std::memory_order_relaxed);
-  bitset_budget_words_.store(static_cast<std::int64_t>(budget_words),
-                             std::memory_order_relaxed);
-  bitset_exhausted_.store(false, std::memory_order_relaxed);
+  row_budget_words_.store(static_cast<std::int64_t>(budget_words),
+                          std::memory_order_relaxed);
+  rows_exhausted_.store(false, std::memory_order_relaxed);
   stat_.zone_size.store(zone_bits_, std::memory_order_relaxed);
   return true;
 }
 
-void LazyGraph::enable_bitset_rows(std::size_t budget_bytes) {
-  if (bitset_enabled_ || hybrid_enabled_) return;
+void LazyGraph::enable_rows(std::size_t budget_bytes,
+                            const RowPolicy& policy) {
+  if (rows_enabled_) return;
   if (!init_zone(budget_bytes)) return;
-  bitset_enabled_ = true;
-}
-
-void LazyGraph::enable_hybrid_rows(std::size_t budget_bytes,
-                                   std::uint32_t array_max,
-                                   double run_min_saving) {
-  if (bitset_enabled_ || hybrid_enabled_) return;
-  // The container metadata is 5 extra bytes per zone vertex on top of the
-  // pointer + popcount bookkeeping init_zone charges.
-  if (!init_zone(budget_bytes)) return;
-  hybrid_array_max_ = array_max;
+  policy_ = policy;
   // < 1 would let a *larger* run container beat the alternatives; clamp
   // so run selection is always a genuine saving.
-  hybrid_run_min_saving_ = std::max(1.0, run_min_saving);
-  row_units_.assign(zone_bits_, 0);
-  row_kind_.assign(zone_bits_,
-                   static_cast<std::uint8_t>(RowContainer::kBitset));
-  hybrid_enabled_ = true;
+  policy_.run_min_saving = std::max(1.0, policy.run_min_saving);
+  rows_enabled_ = true;
 }
 
-bool LazyGraph::adopt_prebuilt_rows(const PrebuiltRows& rows, bool hybrid) {
-  if (bitset_enabled_ || hybrid_enabled_) return false;
+bool LazyGraph::adopt_prebuilt_rows(const PrebuiltRows& rows,
+                                    bool /*hybrid*/) {
+  if (rows_enabled_) return false;
   if (!rows.valid()) return false;
   // The zone must be exactly the suffix [zone_begin, n) of relabelled
   // ids — the store and this graph must agree on the vertex order for
@@ -472,34 +422,24 @@ bool LazyGraph::adopt_prebuilt_rows(const PrebuiltRows& rows, bool hybrid) {
   row_ptr_.resize(zone_bits_);
   row_count_.assign(rows.counts, rows.counts + zone_bits_);
   for (VertexId i = 0; i < zone_bits_; ++i) {
-    // const_cast only to fit the shared row_ptr_ slot; adopted rows are
-    // published as built, so no build path ever writes through them
-    // (the backing mmap is PROT_READ — a write would fault).
-    row_ptr_[i] = const_cast<std::uint64_t*>(
-        rows.words + static_cast<std::size_t>(i) * rows.stride_words);
+    row_ptr_[i] = rows.words + static_cast<std::size_t>(i) * rows.stride_words;
   }
-  if (hybrid) {
-    // Every adopted row is a packed bitset container over the full zone.
-    row_units_.assign(zone_bits_, static_cast<std::uint32_t>(row_words_));
-    row_kind_.assign(zone_bits_,
-                     static_cast<std::uint8_t>(RowContainer::kBitset));
-  }
+  // Every adopted row is a packed bitset container over the full zone.
+  row_units_.assign(zone_bits_, static_cast<std::uint32_t>(row_words_));
+  row_kind_.assign(zone_bits_,
+                   static_cast<std::uint8_t>(RowContainer::kBitset));
   // No budget: nothing will ever be carved (every zone row already
   // exists), and out-of-zone vertices never get rows by construction.
-  bitset_budget_words_.store(0, std::memory_order_relaxed);
-  bitset_exhausted_.store(false, std::memory_order_relaxed);
+  row_budget_words_.store(0, std::memory_order_relaxed);
+  rows_exhausted_.store(false, std::memory_order_relaxed);
   stat_.rows_prebuilt.store(zone_bits_, std::memory_order_relaxed);
   stat_.zone_size.store(zone_bits_, std::memory_order_relaxed);
   for (VertexId v = zone_begin_; v < n_; ++v) {
     // The release publishes the pointers and metadata written above to
-    // readers that load the flag with acquire (row_view / hybrid_view).
-    flags_[v].fetch_or(kBitsetBuilt, std::memory_order_release);
+    // readers that load the flag with acquire (row_view).
+    flags_[v].fetch_or(kRowBuilt, std::memory_order_release);
   }
-  if (hybrid) {
-    hybrid_enabled_ = true;
-  } else {
-    bitset_enabled_ = true;
-  }
+  rows_enabled_ = true;
   return true;
 }
 
@@ -522,49 +462,26 @@ std::span<const VertexId> LazyGraph::right_neighborhood(VertexId v) {
   return all.subspan(right_begin_[v]);
 }
 
-BitsetRow LazyGraph::bitset_row(VertexId v) {
-  if (!bitset_enabled_ || v < zone_begin_) return {};
-  if (!(flags_[v].load(std::memory_order_acquire) & kBitsetBuilt)) {
-    build_bitset(v);
-    if (!(flags_[v].load(std::memory_order_acquire) & kBitsetBuilt)) {
-      return {};  // budget exhausted
+HybridRow LazyGraph::zone_row(VertexId v) {
+  if (!rows_enabled_ || v < zone_begin_) return {};
+  if (!(flags_[v].load(std::memory_order_acquire) & kRowBuilt)) {
+    build_row(v);
+    if (!(flags_[v].load(std::memory_order_acquire) & kRowBuilt)) {
+      return {};  // budget exhausted or degraded
     }
   }
   return row_view(v);
 }
 
-HybridRow LazyGraph::hybrid_row(VertexId v) {
-  if (!hybrid_enabled_ || v < zone_begin_) return {};
-  if (!(flags_[v].load(std::memory_order_acquire) & kBitsetBuilt)) {
-    build_hybrid(v);
-    if (!(flags_[v].load(std::memory_order_acquire) & kBitsetBuilt)) {
-      return {};  // budget exhausted or degraded
-    }
-  }
-  return hybrid_view(v);
-}
-
 NeighborhoodView LazyGraph::membership(VertexId v) {
-  std::uint8_t f = flags_[v].load(std::memory_order_acquire);
-  BitsetRow row{};
-  HybridRow hyb{};
-  if (f & kBitsetBuilt) {
-    // kBitsetBuilt means "zone row built"; which view it decodes to
-    // depends on the mode the zone was enabled in.
-    if (hybrid_enabled_) {
-      hyb = hybrid_view(v);
-    } else {
-      row = row_view(v);
-    }
-  }
-  if (f & kHashBuilt) return NeighborhoodView(&hash_[v], {}, row, hyb);
+  const std::uint8_t f = flags_[v].load(std::memory_order_acquire);
+  const HybridRow row = (f & kRowBuilt) ? row_view(v) : HybridRow{};
+  if (f & kHashBuilt) return NeighborhoodView(&hash_[v], {}, row);
   if (f & kSortedBuilt) {
     return NeighborhoodView(nullptr, {sorted_[v].data(), sorted_[v].size()},
-                            row, hyb);
+                            row);
   }
-  if (row.valid() || hyb.valid()) {
-    return NeighborhoodView(nullptr, {}, row, hyb);
-  }
+  if (row.valid()) return NeighborhoodView(nullptr, {}, row);
 
   // Nothing exists yet: build by preference.
   if (rep_ == NeighborhoodRep::kHash) {
@@ -573,28 +490,18 @@ NeighborhoodView LazyGraph::membership(VertexId v) {
   if (rep_ == NeighborhoodRep::kSorted) {
     return NeighborhoodView(nullptr, sorted_neighborhood(v));
   }
-  if (rep_ == NeighborhoodRep::kBitset) {
-    BitsetRow r = bitset_row(v);
+  if (rep_ == NeighborhoodRep::kBitset || rep_ == NeighborhoodRep::kHybrid) {
+    HybridRow r = zone_row(v);
     if (r.valid()) return NeighborhoodView(nullptr, {}, r);
-    // Out of zone or budget: fall through to the auto rule.
-  }
-  if (rep_ == NeighborhoodRep::kHybrid) {
-    HybridRow r = hybrid_row(v);
-    if (r.valid()) return NeighborhoodView(nullptr, {}, {}, r);
     // Out of zone or budget: fall through to the auto rule.
   }
   // Auto rule (paper: hash when degree > 16), upgraded to a zone row
   // when one is available and no more expensive to build than the set.
   const VertexId deg = original_degree(v);
   if (deg > kHashDegreeThreshold) {
-    if (auto_wants_bitset(v, deg)) {
-      if (hybrid_enabled_) {
-        HybridRow r = hybrid_row(v);
-        if (r.valid()) return NeighborhoodView(nullptr, {}, {}, r);
-      } else {
-        BitsetRow r = bitset_row(v);
-        if (r.valid()) return NeighborhoodView(nullptr, {}, r);
-      }
+    if (auto_wants_row(v, deg)) {
+      HybridRow r = zone_row(v);
+      if (r.valid()) return NeighborhoodView(nullptr, {}, r);
     }
     return NeighborhoodView(&hashed_neighborhood(v), {});
   }
@@ -610,23 +517,19 @@ void LazyGraph::prepopulate(Prepopulate policy, VertexId must_threshold) {
     }
     // An already-built zone row (adopted from a binary store) shadows any
     // other representation: membership() always dispatches to the row.
-    if (has_bitset(v)) return;
+    if (has_row(v)) return;
     // Build the preferred representation; hash is the historical default
-    // and the fallback when a requested bitset row is unavailable.
+    // and the fallback when a requested zone row is unavailable.
     switch (rep_) {
       case NeighborhoodRep::kSorted:
         sorted_neighborhood(v);
         return;
       case NeighborhoodRep::kBitset:
-        if (bitset_row(v).valid()) return;
-        break;
       case NeighborhoodRep::kHybrid:
-        if (hybrid_row(v).valid()) return;
+        if (zone_row(v).valid()) return;
         break;
       case NeighborhoodRep::kAuto:
-        if (auto_wants_bitset(v, original_degree(v)) &&
-            (hybrid_enabled_ ? hybrid_row(v).valid()
-                             : bitset_row(v).valid())) {
+        if (auto_wants_row(v, original_degree(v)) && zone_row(v).valid()) {
           return;
         }
         break;
@@ -640,9 +543,10 @@ void LazyGraph::prepopulate(Prepopulate policy, VertexId must_threshold) {
 LazyGraph::Stats LazyGraph::stats() const {
   Stats s;
   s.load(stat_);
-  // The committed row bytes are exactly the per-class sum in hybrid mode
-  // (quiescent check: callers read stats after the search completes).
-  LAZYMC_ASSERT(!hybrid_enabled_ ||
+  // The committed row bytes are exactly the per-class sum under the
+  // hybrid policy (quiescent check: callers read stats after the search
+  // completes).
+  LAZYMC_ASSERT(!policy_.hybrid ||
                     s.bitset_bytes == s.hybrid_array_bytes +
                                           s.hybrid_bitset_bytes +
                                           s.hybrid_run_bytes,

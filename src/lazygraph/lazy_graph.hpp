@@ -14,24 +14,26 @@
 // Three neighborhood representations may exist per vertex:
 //  * a hopscotch hash set (O(1) probes, ~6 bytes/neighbor),
 //  * a sorted array (merge/galloping intersections, right-neighborhoods),
-//  * a packed 64-bit bitset row over the *zone of interest* — the suffix
-//    of relabelled ids whose coreness was >= the incumbent when
-//    enable_bitset_rows() was called.  Rows turn |A ∩ B| > θ queries into
-//    one AND + popcount per occupied word of A (see intersect/bitset_row
-//    .hpp) and cost zone_size/8 bytes each, capped by a global budget.
+//  * a zone row (HybridRow, intersect/hybrid_row.hpp) over the *zone of
+//    interest* — the suffix of relabelled ids whose coreness was >= the
+//    incumbent when rows were enabled.  Rows turn |A ∩ B| > θ queries into
+//    word-parallel kernels, capped by a global memory budget.  The row
+//    policy picks each row's container: bitset-only (--rep auto|bitset)
+//    packs every row as zone_size/8 bytes of words; hybrid (--rep hybrid)
+//    stores each row as the cheapest of a sorted offset array, run spans
+//    or the packed words.
 //
 // Any subset may have been built, each filtered against a possibly
 // different incumbent size.  That is deliberate and safe: discrepancies
 // involve only vertices that can no longer affect the search (Section
-// IV-A); the bitset rows' zone clipping is the same argument one step
-// further (out-of-zone vertices had coreness below the incumbent at
-// enable time).
+// IV-A); the zone rows' clipping is the same argument one step further
+// (out-of-zone vertices had coreness below the incumbent at enable time).
 //
 // Thread-safety: any number of threads may call the accessors
 // concurrently; construction is serialized per-vertex with double-checked
 // locking (flag read with acquire, publish with release).
-// enable_bitset_rows / set_preferred_rep must be called before concurrent
-// use begins.
+// enable_rows / adopt_prebuilt_rows / set_preferred_rep must be called
+// before concurrent use begins.
 #pragma once
 
 #include <algorithm>
@@ -42,7 +44,6 @@
 
 #include "graph/graph.hpp"
 #include "hashset/hopscotch_set.hpp"
-#include "intersect/bitset_row.hpp"
 #include "intersect/hybrid_row.hpp"
 #include "kcore/order.hpp"
 #include "support/check.hpp"
@@ -61,11 +62,24 @@ enum class Prepopulate {
 
 /// Which representation `membership()` builds when a vertex has none yet.
 enum class NeighborhoodRep {
-  kAuto,    // degree rule; prefer a bitset row when it is cheap (default)
+  kAuto,    // degree rule; prefer a zone row when it is cheap (default)
   kHash,    // always a hopscotch set
   kSorted,  // always a sorted array
-  kBitset,  // a bitset row whenever possible (zone + budget permitting)
-  kHybrid,  // a hybrid row (array/bitset/run container per density)
+  kBitset,  // a zone row whenever possible (zone + budget permitting)
+  kHybrid,  // same, under the hybrid row policy (container per density)
+};
+
+/// How zone rows pick their container.  Bitset-only (the default; --rep
+/// auto|bitset) makes every row a kBitset container of packed words, an
+/// empty row included.  Hybrid (--rep hybrid) stores each row as the
+/// cheapest container for its density: a sorted u32 offset array (in-zone
+/// degree <= `array_max` and smaller than the packed words), run-length
+/// spans (at least `run_min_saving` x smaller than the best dense
+/// alternative), or the packed words; an empty row carves nothing.
+struct RowPolicy {
+  bool hybrid = false;
+  std::uint32_t array_max = 4096;
+  double run_min_saving = 2.0;
 };
 
 /// A membership view over whichever representations a vertex has.
@@ -75,30 +89,25 @@ enum class NeighborhoodRep {
 class NeighborhoodView {
  public:
   NeighborhoodView(const HopscotchSet* hash, std::span<const VertexId> sorted,
-                   BitsetRow row = {}, HybridRow hybrid = {})
-      : hash_(hash), sorted_(sorted), row_(row), hybrid_(hybrid) {}
+                   HybridRow row = {})
+      : hash_(hash), sorted_(sorted), row_(row) {}
 
   bool contains(VertexId v) const;
   std::size_t size() const {
     if (hash_) return hash_->size();
     if (!sorted_.empty()) return sorted_.size();
-    if (row_.valid()) return row_.size();
-    if (hybrid_.valid()) return hybrid_.size();
-    return 0;
+    return row_.size();
   }
   bool is_hashed() const { return hash_ != nullptr; }
   const HopscotchSet* hash_set() const { return hash_; }
   std::span<const VertexId> sorted() const { return sorted_; }
-  bool has_bitset() const { return row_.valid(); }
-  const BitsetRow& bitset() const { return row_; }
-  bool has_hybrid() const { return hybrid_.valid(); }
-  const HybridRow& hybrid() const { return hybrid_; }
+  bool has_row() const { return row_.valid(); }
+  const HybridRow& row() const { return row_; }
 
  private:
   const HopscotchSet* hash_;  // preferred when present
   std::span<const VertexId> sorted_;
-  BitsetRow row_;
-  HybridRow hybrid_;
+  HybridRow row_;
 };
 
 class LazyGraph {
@@ -148,48 +157,34 @@ class LazyGraph {
   bool has_sorted(VertexId v) const {
     return flags_[v].load(std::memory_order_acquire) & kSortedBuilt;
   }
-  bool has_bitset(VertexId v) const {
-    return flags_[v].load(std::memory_order_acquire) & kBitsetBuilt;
+  bool has_row(VertexId v) const {
+    return flags_[v].load(std::memory_order_acquire) & kRowBuilt;
   }
 
-  // ---- bitset rows over the zone of interest -----------------------------
+  // ---- zone rows ---------------------------------------------------------
 
   /// Fixes the zone of interest to the relabelled ids whose coreness is >=
-  /// the incumbent *now* and allows bitset rows to be built for them, up
-  /// to `budget_bytes` of total memory (the O(zone) bookkeeping allocated
-  /// here is charged against the budget, the rest caps row storage).
-  /// Call once, before the graph is used concurrently; a no-op when the
-  /// zone is empty or the bookkeeping alone would bust the budget.
-  void enable_bitset_rows(std::size_t budget_bytes);
+  /// the incumbent *now* and allows zone rows to be built for them under
+  /// `policy`, up to `budget_bytes` of total memory (the O(zone) row
+  /// pointers and popcounts allocated here are charged against the
+  /// budget, the rest caps row storage).  Rows are carved from one slab
+  /// arena with per-container byte accounting, so under the hybrid policy
+  /// a budget that starves an all-bitset zone can still keep most rows on
+  /// the word kernels.  Call once, before the graph is used concurrently;
+  /// a no-op when rows are already enabled, the zone is empty or the
+  /// bookkeeping alone would bust the budget.
+  void enable_rows(std::size_t budget_bytes, const RowPolicy& policy);
 
-  bool bitset_enabled() const { return bitset_enabled_; }
+  /// enable_rows under the bitset-only policy.
+  void enable_bitset_rows(std::size_t budget_bytes) {
+    enable_rows(budget_bytes, RowPolicy{});
+  }
+
+  bool rows_enabled() const { return rows_enabled_; }
   /// First relabelled id inside the zone (zone = [zone_begin, n)).
   VertexId zone_begin() const { return zone_begin_; }
   /// Zone size in vertices (= bits per row).
   VertexId zone_size() const { return zone_bits_; }
-
-  /// The packed filtered neighborhood of v over the zone; builds on first
-  /// use.  Returns an invalid row when rows are disabled, v lies outside
-  /// the zone, or the memory budget is exhausted.
-  BitsetRow bitset_row(VertexId v);
-
-  // ---- hybrid rows (Roaring-style per-row containers) --------------------
-
-  /// Like enable_bitset_rows, but each row is stored as the cheapest of
-  /// three containers for its density: a sorted u32 offset array (in-zone
-  /// degree <= `array_max` and smaller than the packed words), run-length
-  /// spans (at least `run_min_saving` x smaller than the best dense
-  /// alternative), or the packed bitset words.  Containers are carved
-  /// from the same slab arena with per-container byte accounting, so a
-  /// budget that starves an all-bitset zone can still keep most rows on
-  /// the word kernels.  Mutually exclusive with enable_bitset_rows; call
-  /// once, before concurrent use.
-  void enable_hybrid_rows(std::size_t budget_bytes, std::uint32_t array_max,
-                          double run_min_saving);
-
-  bool hybrid_enabled() const { return hybrid_enabled_; }
-
-  // ---- prebuilt rows (binary graph store) --------------------------------
 
   /// Adopts a block of prebuilt zone rows (the binary graph store's
   /// mmap'ed row section) instead of building rows into the slab arena:
@@ -197,9 +192,10 @@ class LazyGraph {
   /// at the caller's storage — zero copies, zero arena carves, and
   /// stats().bitset_built stays 0 for adopted rows.
   ///
-  /// `hybrid` selects which view the rows decode to (each prebuilt row is
-  /// a packed bitset, which is also a valid kBitset hybrid container), so
-  /// both --rep bitset and --rep hybrid solves can consume the same store.
+  /// Each prebuilt row is a packed bitset, i.e. a kBitset container under
+  /// either policy, so --rep bitset and --rep hybrid solves consume the
+  /// same store through the same view; `hybrid` names the caller's policy
+  /// and changes neither the view nor any counter.
   ///
   /// Returns false — leaving the graph untouched, lazy building still
   /// available — when rows are already enabled, `rows` is malformed for
@@ -210,13 +206,13 @@ class LazyGraph {
   /// row, which is NOT covered by the heterogeneous-incumbent invariant).
   ///
   /// Lifetime: the caller keeps the backing storage alive for this
-  /// graph's lifetime.  Call before concurrent use, like the enable_*
-  /// methods.
+  /// graph's lifetime.  Call before concurrent use, like enable_rows.
   bool adopt_prebuilt_rows(const PrebuiltRows& rows, bool hybrid);
 
-  /// The hybrid row of v; builds on first use.  Invalid when hybrid rows
-  /// are disabled, v lies outside the zone, or the budget is exhausted.
-  HybridRow hybrid_row(VertexId v);
+  /// The zone row of v; builds on first use.  Invalid when rows are
+  /// disabled, v lies outside the zone, the budget is exhausted or the
+  /// build degraded.
+  HybridRow zone_row(VertexId v);
 
   /// Representation `membership()` builds when a vertex has none.
   void set_preferred_rep(NeighborhoodRep rep) { rep_ = rep; }
@@ -226,7 +222,7 @@ class LazyGraph {
   /// policy builds vertices with coreness >= threshold (paper Section V-C:
   /// the must subgraph w.r.t. the incumbent found by degree-based
   /// heuristic search).  The representation follows the preferred-rep
-  /// rule (bitset rows when enabled and cheap).  Runs in parallel.
+  /// rule (zone rows when enabled and cheap).  Runs in parallel.
   void prepopulate(Prepopulate policy, VertexId must_threshold);
 
   /// Instrumentation (LAZYMC_LAZY_GRAPH_STATS in support/stats_schema.hpp).
@@ -250,50 +246,46 @@ class LazyGraph {
  private:
   static constexpr std::uint8_t kHashBuilt = 1;
   static constexpr std::uint8_t kSortedBuilt = 2;
-  static constexpr std::uint8_t kBitsetBuilt = 4;
+  static constexpr std::uint8_t kRowBuilt = 4;
 
   /// Builds the filtered relabelled neighbor list of v (unsorted).
   std::vector<VertexId> filtered_neighbors(VertexId v) const;
 
   void build_hash(VertexId v);
   void build_sorted(VertexId v);
-  /// Attempts to build v's bitset row (budget permitting); the kBitsetBuilt
-  /// flag reports success.
-  void build_bitset(VertexId v);
-  /// Attempts to build v's hybrid row (container chosen by density);
-  /// kBitsetBuilt doubles as the "zone row built" flag in hybrid mode.
-  void build_hybrid(VertexId v);
-  /// Shared zone fixing + arena setup for enable_{bitset,hybrid}_rows.
-  /// Returns false when the zone is empty or the bookkeeping alone would
-  /// bust the budget.
+  /// Attempts to build v's zone row under the row policy (budget
+  /// permitting); the kRowBuilt flag reports success.
+  void build_row(VertexId v);
+  /// Zone fixing + arena setup for enable_rows.  Returns false when the
+  /// zone is empty or the bookkeeping alone would bust the budget.
   bool init_zone(std::size_t budget_bytes);
 
-  /// Whether the auto rule prefers a zone row (bitset or hybrid) for v:
-  /// enabled, in zone, budget not exhausted, and the worst-case row build
-  /// cost (zone_words memset) is within a small factor of the hash-set
-  /// build cost (degree inserts).
-  bool auto_wants_bitset(VertexId v, VertexId degree) const {
-    return (bitset_enabled_ || hybrid_enabled_) && v >= zone_begin_ &&
-           !bitset_exhausted_.load(std::memory_order_relaxed) &&
+  /// Whether the auto rule prefers a zone row for v: enabled, in zone,
+  /// budget not exhausted, and the worst-case row build cost (zone_words
+  /// memset) is within a small factor of the hash-set build cost (degree
+  /// inserts).
+  bool auto_wants_row(VertexId v, VertexId degree) const {
+    return rows_enabled_ && v >= zone_begin_ &&
+           !rows_exhausted_.load(std::memory_order_relaxed) &&
            row_words_ <= std::max<std::size_t>(64, 4 * std::size_t{degree});
   }
 
-  BitsetRow row_view(VertexId v) const {
+  HybridRow row_view(VertexId v) const {
     LAZYMC_ASSERT(v >= zone_begin_ && v - zone_begin_ < zone_bits_,
-                  "bitset row requested for a vertex outside the zone of "
-                  "interest");
-    const VertexId i = v - zone_begin_;
-    return BitsetRow{row_ptr_[i], zone_begin_, zone_bits_, row_count_[i]};
-  }
-
-  HybridRow hybrid_view(VertexId v) const {
-    LAZYMC_ASSERT(v >= zone_begin_ && v - zone_begin_ < zone_bits_,
-                  "hybrid row requested for a vertex outside the zone of "
+                  "zone row requested for a vertex outside the zone of "
                   "interest");
     const VertexId i = v - zone_begin_;
     return HybridRow{row_ptr_[i],    zone_begin_,   zone_bits_,
                      row_count_[i],  row_units_[i],
                      static_cast<RowContainer>(row_kind_[i])};
+  }
+
+  /// Takes `words` from the global row budget; on a shortfall, puts them
+  /// back, marks the budget exhausted and returns false.
+  bool reserve_row_words(std::size_t words);
+  void refund_row_words(std::size_t words) {
+    row_budget_words_.fetch_add(static_cast<std::int64_t>(words),
+                                std::memory_order_relaxed);
   }
 
   /// Reserves `stride_words` (a multiple of 8, so every carve starts on a
@@ -303,7 +295,6 @@ class LazyGraph {
   /// the carve; an abandoned slab tail is charged to the budget as waste
   /// so total arena allocation stays within the cap.
   std::uint64_t* carve(std::size_t stride_words);
-  std::uint64_t* carve_row() { return carve(row_stride_words_); }
 
   const Graph* base_;
   const kcore::VertexOrder* order_;
@@ -317,18 +308,15 @@ class LazyGraph {
   std::vector<std::vector<VertexId>> sorted_;
   std::vector<std::uint32_t> right_begin_;  // index into sorted_[v] where u > v
 
-  // bitset rows (zone-indexed: entry i is relabelled vertex zone_begin_+i)
+  // zone rows (zone-indexed: entry i is relabelled vertex zone_begin_+i)
   NeighborhoodRep rep_ = NeighborhoodRep::kAuto;
-  bool bitset_enabled_ = false;
-  bool hybrid_enabled_ = false;
+  bool rows_enabled_ = false;
+  RowPolicy policy_;
   VertexId zone_begin_ = 0;
   VertexId zone_bits_ = 0;
   std::size_t row_words_ = 0;
-  // Hybrid container selection thresholds (enable_hybrid_rows).
-  std::uint32_t hybrid_array_max_ = 4096;
-  double hybrid_run_min_saving_ = 2.0;
-  std::atomic<std::int64_t> bitset_budget_words_{0};
-  std::atomic<bool> bitset_exhausted_{false};
+  std::atomic<std::int64_t> row_budget_words_{0};
+  std::atomic<bool> rows_exhausted_{false};
   // Row storage: one shared arena of slab allocations carved per row,
   // instead of one heap vector per row — a built row costs 8 bytes of
   // bookkeeping (its pointer) plus its share of a slab, and concurrent
@@ -353,9 +341,9 @@ class LazyGraph {
   std::atomic<std::size_t> arena_total_words_{0};
   std::atomic<std::size_t> arena_carved_words_{0};
   std::atomic<std::size_t> arena_waste_words_{0};
-  std::vector<std::uint64_t*> row_ptr_;  // null until the row is built
+  std::vector<const std::uint64_t*> row_ptr_;  // null until built
   std::vector<std::uint32_t> row_count_;
-  // Hybrid-row container metadata (zone-indexed, hybrid mode only).
+  // Container metadata (HybridRow::units / kind).
   std::vector<std::uint32_t> row_units_;
   std::vector<std::uint8_t> row_kind_;
 

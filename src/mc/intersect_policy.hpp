@@ -3,22 +3,29 @@
 // Every |A ∩ B| > θ question in the search funnels through IntersectPolicy.
 // The template methods keep the original behavior for an explicit
 // membership structure B (tests, the degree heuristic's SortedLookup); the
-// NeighborhoodView overloads are the *adaptive dispatcher*: they inspect
-// which representations B actually has (bitset row / hopscotch set /
-// sorted array) and the |A| vs |B| shape, then route to
+// NeighborhoodView overloads are the *adaptive dispatcher*: one routine
+// (`dispatch`) inspects which representation B actually has (zone row /
+// hopscotch set / sorted array) and the |A| vs |B| shape, bumps the
+// matching counter, and routes to
 //
-//   bitset-word   — SparseWordSet x BitsetRow, popcount per occupied word
-//                   with the miss budget checked at word granularity
+//   bitset-word   — SparseWordSet x kBitset row, popcount per occupied
+//                   word with the miss budget checked at word granularity
 //                   (requires the caller-provided word form of A);
-//   bitset-probe  — scalar probes against a BitsetRow (bit test each);
+//   array-gallop  — word form of A x kArray row (element cursor), or
+//                   binary-search probes of A into a much larger kArray
+//                   row;
+//   run-and       — word form of A x kRun row (span masks);
+//   bitset-probe  — scalar probes against a kBitset or kRun row;
 //   hash-batched  — prefetched batch probes into the hopscotch set
 //                   (|A| >= batch_min, so the lookahead pays off);
 //   hash          — serial hopscotch probes (small A);
 //   gallop        — binary-search probes of A into a much larger sorted B;
-//   merge         — linear merge of two comparably sized sorted arrays.
+//   merge         — linear merge of two comparably sized sorted arrays
+//                   (a kArray row is one too).
 //
-// Each decision bumps a relaxed counter in `counters` (when wired) so
-// reports can show where intersections actually ran.
+// Each overload supplies only its kernels for those routes (the Kernels
+// structs below).  Each decision bumps a relaxed counter in `counters`
+// (when wired) so reports can show where intersections actually ran.
 //
 // Ablation semantics are unchanged: "no early exits" runs the chosen
 // representation's exact kernel and compares afterwards; "no second exit"
@@ -92,215 +99,205 @@ struct IntersectPolicy {
   // ---- adaptive dispatch over a NeighborhoodView --------------------------
   // `a` must be sorted ascending (candidate sets are).  `a_words` is the
   // optional word-packed form of the same A; when present and B has a
-  // bitset row, the word-parallel kernel runs.
+  // zone row, the word-parallel kernels run.
 
   bool size_gt_bool(std::span<const VertexId> a, const NeighborhoodView& b,
                     std::int64_t theta,
                     const SparseWordSet* a_words = nullptr) const {
-    if (b.has_hybrid()) {
-      const HybridRow& row = b.hybrid();
-      if (a_words && a_words->zone_begin() == row.zone_begin) {
-        bump_container(row.kind);
-        if (!early_exits) {
-          return static_cast<std::int64_t>(intersect_size(*a_words, row)) >
-                 theta;
-        }
-        return intersect_size_gt_bool(*a_words, row, theta, second_exit);
-      }
-      // No word form of A: the array container is itself a sorted array,
-      // so merge or gallop directly; bitset/run fall back to bit probes.
-      if (row.kind == RowContainer::kArray) {
-        if (probe_beats_merge(a.size(), row.units)) {
-          bump(&KernelCounters::array_gallop);
-          return size_gt_bool(a, HybridArrayLookup(row), theta);
-        }
-        bump(&KernelCounters::merge);
-        if (!early_exits) {
-          std::int64_t n = 0;
-          for (VertexId v : a) n += row.contains(v) ? 1 : 0;
-          return n > theta;
-        }
-        return hybrid_array_size_gt_bool(a, row, theta, second_exit);
-      }
-      bump(&KernelCounters::bitset_probe);
-      return size_gt_bool(a, row, theta);
-    }
-    if (b.has_bitset()) {
-      const BitsetRow& row = b.bitset();
-      if (a_words && a_words->zone_begin() == row.zone_begin) {
-        bump_word();
-        if (!early_exits) {
-          return static_cast<std::int64_t>(intersect_size(*a_words, row)) >
-                 theta;
-        }
-        return intersect_size_gt_bool(*a_words, row, theta, second_exit);
-      }
-      bump(&KernelCounters::bitset_probe);
-      return size_gt_bool(a, row, theta);
-    }
-    if (b.is_hashed()) {
-      const HopscotchSet& set = *b.hash_set();
-      if (use_batch(a.size())) {
-        bump(&KernelCounters::hash_batched);
-        if (!early_exits) {
-          return static_cast<std::int64_t>(intersect_size_prefetch(a, set)) >
-                 theta;
-        }
-        return intersect_size_gt_bool_prefetch(a, set, theta, second_exit);
-      }
-      bump(&KernelCounters::hash);
-      return size_gt_bool(a, set, theta);
-    }
-    const std::span<const VertexId> s = b.sorted();
-    if (probe_beats_merge(a.size(), s.size())) {
-      bump(&KernelCounters::gallop);
-      return size_gt_bool(a, SortedLookup(s), theta);
-    }
-    bump(&KernelCounters::merge);
-    if (!early_exits) {
-      return static_cast<std::int64_t>(intersect_sorted_size(a, s)) > theta;
-    }
-    return intersect_sorted_size_gt_bool(a, s, theta, second_exit);
+    return dispatch(a, b, a_words, SizeGtBool{this, a, theta});
   }
 
   int size_gt_val(std::span<const VertexId> a, const NeighborhoodView& b,
                   std::int64_t theta,
                   const SparseWordSet* a_words = nullptr) const {
-    if (b.has_hybrid()) {
-      const HybridRow& row = b.hybrid();
-      if (a_words && a_words->zone_begin() == row.zone_begin) {
-        bump_container(row.kind);
-        if (!early_exits) {
-          int n = static_cast<int>(intersect_size(*a_words, row));
-          return n > theta ? n : kTooSmall;
-        }
-        return intersect_size_gt_val(*a_words, row, theta);
-      }
-      if (row.kind == RowContainer::kArray) {
-        if (probe_beats_merge(a.size(), row.units)) {
-          bump(&KernelCounters::array_gallop);
-          return size_gt_val(a, HybridArrayLookup(row), theta);
-        }
-        bump(&KernelCounters::merge);
-        if (!early_exits) {
-          std::int64_t n = 0;
-          for (VertexId v : a) n += row.contains(v) ? 1 : 0;
-          return n > theta ? static_cast<int>(n) : kTooSmall;
-        }
-        return hybrid_array_size_gt_val(a, row, theta);
-      }
-      bump(&KernelCounters::bitset_probe);
-      return size_gt_val(a, row, theta);
-    }
-    if (b.has_bitset()) {
-      const BitsetRow& row = b.bitset();
-      if (a_words && a_words->zone_begin() == row.zone_begin) {
-        bump_word();
-        if (!early_exits) {
-          int n = static_cast<int>(intersect_size(*a_words, row));
-          return n > theta ? n : kTooSmall;
-        }
-        return intersect_size_gt_val(*a_words, row, theta);
-      }
-      bump(&KernelCounters::bitset_probe);
-      return size_gt_val(a, row, theta);
-    }
-    if (b.is_hashed()) {
-      const HopscotchSet& set = *b.hash_set();
-      if (use_batch(a.size())) {
-        bump(&KernelCounters::hash_batched);
-        if (!early_exits) {
-          int n = static_cast<int>(intersect_size_prefetch(a, set));
-          return n > theta ? n : kTooSmall;
-        }
-        return intersect_size_gt_val_prefetch(a, set, theta);
-      }
-      bump(&KernelCounters::hash);
-      return size_gt_val(a, set, theta);
-    }
-    const std::span<const VertexId> s = b.sorted();
-    if (probe_beats_merge(a.size(), s.size())) {
-      bump(&KernelCounters::gallop);
-      return size_gt_val(a, SortedLookup(s), theta);
-    }
-    bump(&KernelCounters::merge);
-    if (!early_exits) {
-      int n = static_cast<int>(intersect_sorted_size(a, s));
-      return n > theta ? n : kTooSmall;
-    }
-    return intersect_sorted_size_gt_val(a, s, theta);
+    return dispatch(a, b, a_words, SizeGtVal{this, a, theta});
   }
 
   int gt(std::span<const VertexId> a, const NeighborhoodView& b, VertexId* out,
          std::int64_t theta, const SparseWordSet* a_words = nullptr) const {
-    if (b.has_hybrid()) {
-      const HybridRow& row = b.hybrid();
+    return dispatch(a, b, a_words, Gt{this, a, out, theta});
+  }
+
+ private:
+  /// Picks B's representation and kernel shape, bumps the counter, and
+  /// runs the matching kernel of `k`: words (word form of A x zone row),
+  /// probe (scalar probes into a MembershipSet), array_merge (merge with
+  /// a kArray row), hash_batched, or sorted_merge.
+  template <class Kernels>
+  typename Kernels::Result dispatch(std::span<const VertexId> a,
+                                    const NeighborhoodView& b,
+                                    const SparseWordSet* a_words,
+                                    const Kernels& k) const {
+    if (b.has_row()) {
+      const HybridRow& row = b.row();
       if (a_words && a_words->zone_begin() == row.zone_begin) {
         bump_container(row.kind);
-        if (!early_exits) {
-          int n = static_cast<int>(intersect_words(*a_words, row, out));
-          return n > theta ? n : kTooSmall;
-        }
-        return intersect_gt(*a_words, row, out, theta);
+        return k.words(*a_words, row);
       }
+      // No word form of A: the array container is itself a sorted array,
+      // so merge or gallop directly; bitset/run fall back to bit probes
+      // (a kBitset row as a plain BitsetRow, so a probe is one bit test
+      // with no per-element container switch).
       if (row.kind == RowContainer::kArray) {
         if (probe_beats_merge(a.size(), row.units)) {
           bump(&KernelCounters::array_gallop);
-          return gt(a, HybridArrayLookup(row), out, theta);
+          return k.probe(HybridArrayLookup(row));
         }
         bump(&KernelCounters::merge);
-        if (!early_exits) {
-          int n = 0;
-          for (VertexId v : a) {
-            if (row.contains(v)) out[n++] = v;
-          }
-          return n > theta ? n : kTooSmall;
-        }
-        return hybrid_array_gt(a, row, out, theta);
+        return k.array_merge(row);
       }
       bump(&KernelCounters::bitset_probe);
-      return gt(a, row, out, theta);
-    }
-    if (b.has_bitset()) {
-      const BitsetRow& row = b.bitset();
-      if (a_words && a_words->zone_begin() == row.zone_begin) {
-        bump_word();
-        if (!early_exits) {
-          int n = static_cast<int>(intersect_words(*a_words, row, out));
-          return n > theta ? n : kTooSmall;
-        }
-        return intersect_gt(*a_words, row, out, theta);
-      }
-      bump(&KernelCounters::bitset_probe);
-      return gt(a, row, out, theta);
+      return row.kind == RowContainer::kBitset ? k.probe(row.as_bitset())
+                                               : k.probe(row);
     }
     if (b.is_hashed()) {
       const HopscotchSet& set = *b.hash_set();
       if (use_batch(a.size())) {
         bump(&KernelCounters::hash_batched);
-        if (!early_exits) {
-          int n = static_cast<int>(intersect_hash_prefetch(a, set, out));
-          return n > theta ? n : kTooSmall;
-        }
-        return intersect_gt_prefetch(a, set, out, theta);
+        return k.hash_batched(set);
       }
       bump(&KernelCounters::hash);
-      return gt(a, set, out, theta);
+      return k.probe(set);
     }
     const std::span<const VertexId> s = b.sorted();
     if (probe_beats_merge(a.size(), s.size())) {
       bump(&KernelCounters::gallop);
-      return gt(a, SortedLookup(s), out, theta);
+      return k.probe(SortedLookup(s));
     }
     bump(&KernelCounters::merge);
-    if (!early_exits) {
-      int n = static_cast<int>(intersect_sorted(a, s, out));
-      return n > theta ? n : kTooSmall;
-    }
-    return intersect_sorted_gt(a, s, out, theta);
+    return k.sorted_merge(s);
   }
 
- private:
+  /// |A ∩ row| by probing, for the exact (no early exit) array merge.
+  static std::int64_t array_count(std::span<const VertexId> a,
+                                  const HybridRow& row) {
+    std::int64_t n = 0;
+    for (VertexId v : a) n += row.contains(v) ? 1 : 0;
+    return n;
+  }
+
+  struct SizeGtBool {
+    using Result = bool;
+    const IntersectPolicy* p;
+    std::span<const VertexId> a;
+    std::int64_t theta;
+
+    bool words(const SparseWordSet& w, const HybridRow& row) const {
+      if (!p->early_exits) {
+        return static_cast<std::int64_t>(intersect_size(w, row)) > theta;
+      }
+      return intersect_size_gt_bool(w, row, theta, p->second_exit);
+    }
+    template <MembershipSet SetB>
+    bool probe(const SetB& set) const {
+      return p->size_gt_bool(a, set, theta);
+    }
+    bool array_merge(const HybridRow& row) const {
+      if (!p->early_exits) {
+        return array_count(a, row) > theta;
+      }
+      return hybrid_array_size_gt_bool(a, row, theta, p->second_exit);
+    }
+    bool hash_batched(const HopscotchSet& set) const {
+      if (!p->early_exits) {
+        return static_cast<std::int64_t>(intersect_size_prefetch(a, set)) >
+               theta;
+      }
+      return intersect_size_gt_bool_prefetch(a, set, theta, p->second_exit);
+    }
+    bool sorted_merge(std::span<const VertexId> s) const {
+      if (!p->early_exits) {
+        return static_cast<std::int64_t>(intersect_sorted_size(a, s)) > theta;
+      }
+      return intersect_sorted_size_gt_bool(a, s, theta, p->second_exit);
+    }
+  };
+
+  struct SizeGtVal {
+    using Result = int;
+    const IntersectPolicy* p;
+    std::span<const VertexId> a;
+    std::int64_t theta;
+
+    int exact(std::int64_t n) const {
+      return n > theta ? static_cast<int>(n) : kTooSmall;
+    }
+    int words(const SparseWordSet& w, const HybridRow& row) const {
+      if (!p->early_exits) {
+        return exact(static_cast<std::int64_t>(intersect_size(w, row)));
+      }
+      return intersect_size_gt_val(w, row, theta);
+    }
+    template <MembershipSet SetB>
+    int probe(const SetB& set) const {
+      return p->size_gt_val(a, set, theta);
+    }
+    int array_merge(const HybridRow& row) const {
+      if (!p->early_exits) {
+        return exact(array_count(a, row));
+      }
+      return hybrid_array_size_gt_val(a, row, theta);
+    }
+    int hash_batched(const HopscotchSet& set) const {
+      if (!p->early_exits) {
+        return exact(
+            static_cast<std::int64_t>(intersect_size_prefetch(a, set)));
+      }
+      return intersect_size_gt_val_prefetch(a, set, theta);
+    }
+    int sorted_merge(std::span<const VertexId> s) const {
+      if (!p->early_exits) {
+        return exact(static_cast<std::int64_t>(intersect_sorted_size(a, s)));
+      }
+      return intersect_sorted_size_gt_val(a, s, theta);
+    }
+  };
+
+  struct Gt {
+    using Result = int;
+    const IntersectPolicy* p;
+    std::span<const VertexId> a;
+    VertexId* out;
+    std::int64_t theta;
+
+    int exact(std::int64_t n) const {
+      return n > theta ? static_cast<int>(n) : kTooSmall;
+    }
+    int words(const SparseWordSet& w, const HybridRow& row) const {
+      if (!p->early_exits) {
+        return exact(static_cast<std::int64_t>(intersect_words(w, row, out)));
+      }
+      return intersect_gt(w, row, out, theta);
+    }
+    template <MembershipSet SetB>
+    int probe(const SetB& set) const {
+      return p->gt(a, set, out, theta);
+    }
+    int array_merge(const HybridRow& row) const {
+      if (!p->early_exits) {
+        int n = 0;
+        for (VertexId v : a) {
+          if (row.contains(v)) out[n++] = v;
+        }
+        return exact(n);
+      }
+      return hybrid_array_gt(a, row, out, theta);
+    }
+    int hash_batched(const HopscotchSet& set) const {
+      if (!p->early_exits) {
+        return exact(
+            static_cast<std::int64_t>(intersect_hash_prefetch(a, set, out)));
+      }
+      return intersect_gt_prefetch(a, set, out, theta);
+    }
+    int sorted_merge(std::span<const VertexId> s) const {
+      if (!p->early_exits) {
+        return exact(static_cast<std::int64_t>(intersect_sorted(a, s, out)));
+      }
+      return intersect_sorted_gt(a, s, out, theta);
+    }
+  };
+
   bool use_batch(std::size_t a_size) const {
     return batched_probes && a_size >= batch_min;
   }
@@ -321,7 +318,7 @@ struct IntersectPolicy {
   void bump_container(RowContainer kind) const {
     switch (kind) {
       case RowContainer::kBitset:
-        bump_word();  // same tiered kernel as a plain bitset row
+        bump_word();
         return;
       case RowContainer::kArray:
         bump(&KernelCounters::array_gallop);

@@ -124,26 +124,20 @@ LazyMCResult lazy_mc(const Graph& g, const LazyMCConfig& config) {
   // ---- 4. lazy graph + optional must-subgraph prepopulation ------------
   LazyGraph lazy(g, *order_ref, *coreness_ref, &incumbent.size_atomic());
   lazy.set_preferred_rep(config.neighborhood_rep);
-  // Bitset rows cover the zone of interest fixed by the incumbent the
+  // Zone rows cover the zone of interest fixed by the incumbent the
   // degree heuristic found; forcing hash/sorted turns them off entirely.
   // Stored rows are adopted zero-copy when their zone covers the live
   // one; an incompatible store degrades to lazily built rows, never to a
   // wrong answer.
-  bool adopted = false;
-  if (use_prebuilt && pre->rows.valid() && config.bitset_budget_bytes > 0 &&
+  const bool hybrid = config.neighborhood_rep == NeighborhoodRep::kHybrid;
+  if (config.bitset_budget_bytes > 0 &&
       config.neighborhood_rep != NeighborhoodRep::kHash &&
       config.neighborhood_rep != NeighborhoodRep::kSorted) {
-    adopted = lazy.adopt_prebuilt_rows(
-        pre->rows, config.neighborhood_rep == NeighborhoodRep::kHybrid);
-  }
-  if (!adopted && config.bitset_budget_bytes > 0) {
-    if (config.neighborhood_rep == NeighborhoodRep::kHybrid) {
-      lazy.enable_hybrid_rows(config.bitset_budget_bytes,
-                              config.hybrid_array_max,
-                              config.hybrid_run_min_saving);
-    } else if (config.neighborhood_rep == NeighborhoodRep::kAuto ||
-               config.neighborhood_rep == NeighborhoodRep::kBitset) {
-      lazy.enable_bitset_rows(config.bitset_budget_bytes);
+    if (!use_prebuilt || !pre->rows.valid() ||
+        !lazy.adopt_prebuilt_rows(pre->rows, hybrid)) {
+      lazy.enable_rows(config.bitset_budget_bytes,
+                       RowPolicy{hybrid, config.hybrid_array_max,
+                                 config.hybrid_run_min_saving});
     }
   }
   lazy.prepopulate(config.prepopulate, /*must_threshold=*/incumbent.size());

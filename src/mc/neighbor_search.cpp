@@ -32,13 +32,13 @@ void atomic_max(std::atomic<std::uint64_t>& target, std::uint64_t value) {
 /// construction-time filtering and builds neighborhoods only for the few
 /// vertices that reach a detailed search.
 ///
-/// Rows backed by a bitset are filled word-wise: the members' own word
-/// form (scratch.a_words) is ANDed against the row by the dispatched
-/// gather_and primitive (SIMD tier permitting) into scratch.and_words,
-/// and each surviving bit is mapped back to its local index with a
-/// monotone cursor (hits and members share the ascending relabelled
-/// order).  Rows without a bitset fall back to per-pair membership
-/// probes.
+/// Members with a zone row are filled word-wise: the members' own word
+/// form (scratch.a_words) is ANDed against the row (by the dispatched
+/// gather_and primitive for a kBitset row, SIMD tier permitting) into
+/// scratch.and_words, and each surviving bit is mapped back to its local
+/// index with a monotone cursor (hits and members share the ascending
+/// relabelled order).  Members without a zone row fall back to per-pair
+/// membership probes.
 void induce_from_lazy(LazyGraph& h, const std::vector<VertexId>& members,
                       DenseSubgraph& out, SearchScratch& scratch,
                       SearchStats& stats) {
@@ -46,7 +46,7 @@ void induce_from_lazy(LazyGraph& h, const std::vector<VertexId>& members,
   out.reset_pooled(n);
   out.vertices.assign(members.begin(), members.end());
   EdgeId m = 0;
-  bool words_ready = (h.bitset_enabled() || h.hybrid_enabled()) && n >= 2;
+  bool words_ready = h.rows_enabled() && n >= 2;
   if (words_ready) {
     try {
       scratch.a_words.build({members.data(), members.size()}, h.zone_begin());
@@ -62,7 +62,7 @@ void induce_from_lazy(LazyGraph& h, const std::vector<VertexId>& members,
   const wordops::Table& ops = wordops::active();
   for (std::size_t i = 0; i < n; ++i) {
     NeighborhoodView view = h.membership(members[i]);
-    if (words_ready && (view.has_bitset() || view.has_hybrid())) {
+    if (words_ready && view.has_row()) {
       // Only offsets strictly above members[i] (locals j > i).
       const VertexId off_i = members[i] - zone_begin;
       const std::uint32_t first_word = off_i >> 6;
@@ -73,19 +73,13 @@ void induce_from_lazy(LazyGraph& h, const std::vector<VertexId>& members,
           std::lower_bound(idx.begin(), idx.end(), first_word) - idx.begin());
       const std::size_t cnt = idx.size() - start;
       std::uint64_t* hit_words = scratch.and_words.data();
-      // The dense containers (plain bitset row, hybrid bitset kind) feed
-      // the gather-AND primitive; array/run containers produce B's words
-      // through their ascending cursors instead.
-      const std::uint64_t* row_words =
-          view.has_bitset() ? view.bitset().words
-                            : (view.hybrid().kind == RowContainer::kBitset
-                                   ? view.hybrid().data
-                                   : nullptr);
-      if (row_words != nullptr) {
+      // The bitset container feeds the gather-AND primitive; array/run
+      // containers produce B's words through their ascending cursors.
+      if (view.row().kind == RowContainer::kBitset) {
         ops.gather_and(hit_words, bits.data() + start, idx.data() + start,
-                       row_words, cnt);
+                       view.row().data, cnt);
       } else {
-        hybrid_detail::HybridWordCursor cur(view.hybrid());
+        hybrid_detail::HybridWordCursor cur(view.row());
         for (std::size_t e = 0; e < cnt; ++e) {
           hit_words[e] = bits[start + e] & cur.word(idx[start + e]);
         }
@@ -293,12 +287,12 @@ void neighbor_search(LazyGraph& h, VertexId v, Incumbent& incumbent,
   stats.pass_filter1.fetch_add(1, std::memory_order_relaxed);
 
   // ---- filter 2: induced degree, boolean test (lines 4-7) --------------
-  // The word form of n_set feeds the bitset kernels whenever a candidate's
-  // membership view carries a bitset row (n_set ⊆ zone: every survivor of
+  // The word form of n_set feeds the word kernels whenever a candidate's
+  // membership view carries a zone row (n_set ⊆ zone: every survivor of
   // filter 1 has coreness >= bound >= the bound when rows were enabled).
   // A failed word-form build degrades the round to scalar kernels (the
   // word set is an accelerator; membership views answer without it).
-  bool zone_kernels = h.bitset_enabled() || h.hybrid_enabled();
+  bool zone_kernels = h.rows_enabled();
   auto build_words = [&](std::span<const VertexId> span)
       -> const SparseWordSet* {
     if (!zone_kernels) return nullptr;

@@ -48,10 +48,16 @@ struct RowSet {
         ++run_u32.back();
       }
     }
+    // An empty vector's data() may be null, which memcpy must not see
+    // even for zero bytes.
     array_storage.assign((offs.size() + 1) / 2 + 1, 0);
-    std::memcpy(array_storage.data(), offs.data(), offs.size() * 4);
+    if (!offs.empty()) {
+      std::memcpy(array_storage.data(), offs.data(), offs.size() * 4);
+    }
     run_storage.assign(run_u32.size() / 2 + 1, 0);
-    std::memcpy(run_storage.data(), run_u32.data(), run_u32.size() * 4);
+    if (!run_u32.empty()) {
+      std::memcpy(run_storage.data(), run_u32.data(), run_u32.size() * 4);
+    }
   }
 
   HybridRow array_row() const {
@@ -321,6 +327,9 @@ TEST(HybridRowKernels, ArrayMergeAndGallopPaths) {
 
 // ---- LazyGraph container selection ----------------------------------------
 
+// The --rep hybrid policy at the default thresholds.
+constexpr RowPolicy kHybrid{true, 4096, 2.0};
+
 struct ZoneFixture {
   Graph g;
   kcore::CoreDecomposition core;
@@ -356,12 +365,11 @@ TEST(LazyGraphHybrid, RowsMatchSortedNeighborhoodAndAccounting) {
   // the sorted array (8 carved words) undercuts the packed words.
   ZoneFixture f(gen::gnp(1500, 0.01, 777));
   LazyGraph lazy = f.make();
-  lazy.enable_hybrid_rows(1 << 20, 4096, 2.0);
-  ASSERT_TRUE(lazy.hybrid_enabled());
-  EXPECT_FALSE(lazy.bitset_enabled());
+  lazy.enable_rows(1 << 20, kHybrid);
+  ASSERT_TRUE(lazy.rows_enabled());
   const VertexId zb = lazy.zone_begin();
   for (VertexId v = zb; v < lazy.num_vertices(); ++v) {
-    HybridRow row = lazy.hybrid_row(v);
+    HybridRow row = lazy.zone_row(v);
     ASSERT_TRUE(row.valid());
     auto sorted = lazy.sorted_neighborhood(v);
     std::size_t in_zone = 0;
@@ -389,10 +397,10 @@ TEST(LazyGraphHybrid, DenseScatteredRowsPickBitset) {
   // more than the 40-byte packed row.
   ZoneFixture f(gen::gnp(300, 0.5, 778));
   LazyGraph lazy = f.make();
-  lazy.enable_hybrid_rows(1 << 22, 4096, 2.0);
-  ASSERT_TRUE(lazy.hybrid_enabled());
+  lazy.enable_rows(1 << 22, kHybrid);
+  ASSERT_TRUE(lazy.rows_enabled());
   for (VertexId v = lazy.zone_begin(); v < lazy.num_vertices(); ++v) {
-    ASSERT_TRUE(lazy.hybrid_row(v).valid());
+    ASSERT_TRUE(lazy.zone_row(v).valid());
   }
   const auto s = lazy.stats();
   EXPECT_GT(s.hybrid_rows_bitset, 0u);
@@ -415,12 +423,12 @@ TEST(LazyGraphHybrid, ClusteredRowsPickRun) {
   for (VertexId v = k + 2; v < n; ++v) edges.push_back({v, v - 1});
   ZoneFixture f(graph_from_edges(n, edges));
   LazyGraph lazy = f.make();
-  lazy.enable_hybrid_rows(1 << 22, 4096, 2.0);
-  ASSERT_TRUE(lazy.hybrid_enabled());
+  lazy.enable_rows(1 << 22, kHybrid);
+  ASSERT_TRUE(lazy.rows_enabled());
   // Find the hub's relabelled id and build its row.
   const VertexId hub_new = f.order.orig_to_new[hub];
   ASSERT_GE(hub_new, lazy.zone_begin());
-  HybridRow row = lazy.hybrid_row(hub_new);
+  HybridRow row = lazy.zone_row(hub_new);
   ASSERT_TRUE(row.valid());
   EXPECT_EQ(row.kind, RowContainer::kRun);
   EXPECT_EQ(row.size(), k);
@@ -448,10 +456,10 @@ TEST(LazyGraphHybrid, ArrayMaxThresholdIsExact) {
   }
   ZoneFixture f(graph_from_edges(n, edges));
   LazyGraph lazy = f.make();
-  lazy.enable_hybrid_rows(std::size_t{64} << 20, 4096, 2.0);
-  ASSERT_TRUE(lazy.hybrid_enabled());
-  HybridRow ra = lazy.hybrid_row(f.order.orig_to_new[hub_a]);
-  HybridRow rb = lazy.hybrid_row(f.order.orig_to_new[hub_b]);
+  lazy.enable_rows(std::size_t{64} << 20, kHybrid);
+  ASSERT_TRUE(lazy.rows_enabled());
+  HybridRow ra = lazy.zone_row(f.order.orig_to_new[hub_a]);
+  HybridRow rb = lazy.zone_row(f.order.orig_to_new[hub_b]);
   ASSERT_TRUE(ra.valid());
   ASSERT_TRUE(rb.valid());
   EXPECT_EQ(ra.size(), 4096u);
@@ -460,20 +468,21 @@ TEST(LazyGraphHybrid, ArrayMaxThresholdIsExact) {
   EXPECT_NE(rb.kind, RowContainer::kArray);
 }
 
-TEST(LazyGraphHybrid, EmptyRowsCostNoBytes) {
+TEST(LazyGraphHybrid, EmptyRowsCostNoBytesOnlyUnderHybrid) {
   // An isolated vertex sits in the zone (incumbent 0) with an empty
-  // filtered neighborhood: its row is valid, empty, and charges nothing.
+  // filtered neighborhood: its hybrid row is valid, empty, and charges
+  // nothing, while its bitset-only row still carves one full stride.
   std::vector<std::pair<VertexId, VertexId>> edges;
   for (VertexId i = 0; i < 5; ++i) {
     for (VertexId j = i + 1; j < 5; ++j) edges.push_back({i, j});
   }
   ZoneFixture f(graph_from_edges(6, edges));  // vertex 5 isolated
   LazyGraph lazy = f.make();
-  lazy.enable_hybrid_rows(1 << 20, 4096, 2.0);
-  ASSERT_TRUE(lazy.hybrid_enabled());
+  lazy.enable_rows(1 << 20, kHybrid);
+  ASSERT_TRUE(lazy.rows_enabled());
   const VertexId iso = f.order.orig_to_new[5];
   ASSERT_GE(iso, lazy.zone_begin());
-  HybridRow row = lazy.hybrid_row(iso);
+  HybridRow row = lazy.zone_row(iso);
   ASSERT_TRUE(row.valid());
   EXPECT_EQ(row.size(), 0u);
   EXPECT_EQ(row.units, 0u);
@@ -482,6 +491,18 @@ TEST(LazyGraphHybrid, EmptyRowsCostNoBytes) {
   EXPECT_EQ(s.hybrid_rows_array, 1u);
   EXPECT_EQ(s.hybrid_array_bytes, 0u);
   EXPECT_EQ(s.bitset_bytes, 0u);
+
+  LazyGraph plain = f.make();
+  plain.enable_bitset_rows(1 << 20);
+  const HybridRow plain_row = plain.zone_row(iso);
+  ASSERT_TRUE(plain_row.valid());
+  EXPECT_EQ(plain_row.kind, RowContainer::kBitset);
+  EXPECT_EQ(plain_row.size(), 0u);
+  const auto ps = plain.stats();
+  EXPECT_EQ(ps.bitset_built, 1u);
+  EXPECT_EQ(ps.bitset_bytes, 64u);  // one word, padded to an 8-word stride
+  EXPECT_EQ(ps.hybrid_rows_array + ps.hybrid_rows_bitset + ps.hybrid_rows_run,
+            0u);
 }
 
 TEST(LazyGraphHybrid, BudgetExhaustionFallsBackGracefully) {
@@ -492,11 +513,11 @@ TEST(LazyGraphHybrid, BudgetExhaustionFallsBackGracefully) {
   // exhausts the budget.
   const std::size_t bookkeeping =
       100 * (sizeof(std::uint64_t*) + sizeof(std::uint32_t));
-  lazy.enable_hybrid_rows(bookkeeping + 16, 4096, 2.0);
-  if (!lazy.hybrid_enabled()) GTEST_SKIP() << "bookkeeping estimate too low";
-  EXPECT_FALSE(lazy.hybrid_row(0).valid());
+  lazy.enable_rows(bookkeeping + 16, kHybrid);
+  if (!lazy.rows_enabled()) GTEST_SKIP() << "bookkeeping estimate too low";
+  EXPECT_FALSE(lazy.zone_row(0).valid());
   NeighborhoodView view = lazy.membership(0);
-  EXPECT_FALSE(view.has_hybrid());
+  EXPECT_FALSE(view.has_row());
   EXPECT_GT(view.size(), 0u);
   EXPECT_EQ(lazy.stats().bitset_built, 0u);
 }
@@ -504,21 +525,21 @@ TEST(LazyGraphHybrid, BudgetExhaustionFallsBackGracefully) {
 TEST(LazyGraphHybrid, ConcurrentBuildsAreSafe) {
   ZoneFixture f(gen::gnp(400, 0.2, 780));
   LazyGraph lazy = f.make();
-  lazy.enable_hybrid_rows(1 << 22, 4096, 2.0);
-  ASSERT_TRUE(lazy.hybrid_enabled());
+  lazy.enable_rows(1 << 22, kHybrid);
+  ASSERT_TRUE(lazy.rows_enabled());
   set_num_threads(8);
   const VertexId zb = lazy.zone_begin();
   const VertexId n = lazy.num_vertices();
   std::atomic<std::size_t> mismatches{0};
   parallel_for(0, (n - zb) * 4, [&](std::size_t i) {
     const VertexId v = zb + static_cast<VertexId>(i % (n - zb));
-    HybridRow row = lazy.hybrid_row(v);
+    HybridRow row = lazy.zone_row(v);
     if (!row.valid()) {
       mismatches.fetch_add(1, std::memory_order_relaxed);
       return;
     }
     NeighborhoodView view = lazy.membership(v);
-    if (!view.has_hybrid() || view.size() != row.size()) {
+    if (!view.has_row() || view.size() != row.size()) {
       mismatches.fetch_add(1, std::memory_order_relaxed);
     }
   }, 16);

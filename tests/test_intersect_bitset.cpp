@@ -49,6 +49,16 @@ struct OwnedRow {
     }
     row = BitsetRow{words.data(), zone_begin, zone_bits, count};
   }
+
+  /// The same row as the kBitset zone-row container LazyGraph hands out.
+  HybridRow zone_row() const {
+    return HybridRow{row.words,
+                     row.zone_begin,
+                     row.zone_bits,
+                     row.popcount,
+                     static_cast<std::uint32_t>(words.size()),
+                     RowContainer::kBitset};
+  }
 };
 
 std::vector<VertexId> random_zone_set(Rng& rng, std::size_t max_size,
@@ -363,7 +373,7 @@ TEST(IntersectPolicyDispatch, AllRepresentationsAgree) {
 
     NeighborhoodView hash_view(&hs, {});
     NeighborhoodView sorted_view(nullptr, {b.data(), b.size()});
-    NeighborhoodView bitset_view(nullptr, {}, owned.row);
+    NeighborhoodView bitset_view(nullptr, {}, owned.zone_row());
     const NeighborhoodView* views[] = {&hash_view, &sorted_view, &bitset_view};
 
     const auto expected = intersect_reference(a, b);

@@ -1,10 +1,13 @@
 // Suite-wide correctness of the zone-row representations: omega must be
 // identical with bitset rows forced on, hybrid rows forced on, rows forced
 // off, and rows chosen adaptively, at 1, 2 and 8 threads — plus unit
-// coverage of the zone/budget semantics of enable_{bitset,hybrid}_rows.
+// coverage of the zone/budget semantics of LazyGraph::enable_rows under the
+// bitset-only policy.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/suite.hpp"
@@ -194,31 +197,39 @@ struct ZoneFixture {
   LazyGraph make() { return LazyGraph(g, order, core.coreness, &incumbent); }
 };
 
-TEST(LazyGraphBitset, RowMatchesSortedNeighborhoodWithinZone) {
+TEST(LazyGraphBitset, EveryRowIsABitsetContainerOfTheAdjacency) {
   ZoneFixture f(gen::gnp(80, 0.3, 555));
   f.incumbent.store(3);
   LazyGraph lazy = f.make();
   lazy.enable_bitset_rows(1 << 20);
-  ASSERT_TRUE(lazy.bitset_enabled());
+  ASSERT_TRUE(lazy.rows_enabled());
   const VertexId zb = lazy.zone_begin();
+  const std::size_t words = (lazy.zone_size() + 63) / 64;
   for (VertexId v = zb; v < lazy.num_vertices(); ++v) {
-    BitsetRow row = lazy.bitset_row(v);
+    HybridRow row = lazy.zone_row(v);
     ASSERT_TRUE(row.valid());
-    EXPECT_TRUE(lazy.has_bitset(v));
-    // Built at the same incumbent, the row is exactly the sorted filtered
-    // neighborhood clipped to the zone.
-    auto sorted = lazy.sorted_neighborhood(v);
+    EXPECT_TRUE(lazy.has_row(v));
+    ASSERT_EQ(row.kind, RowContainer::kBitset) << v;
+    EXPECT_EQ(row.units, words);
+    // Built at the same incumbent, the row's words are exactly the
+    // sorted filtered neighborhood clipped to the zone.
+    std::vector<std::uint64_t> expected(words, 0);
+    for (VertexId u : lazy.sorted_neighborhood(v)) {
+      if (u >= zb) expected[(u - zb) >> 6] |= 1ULL << ((u - zb) & 63);
+    }
     std::size_t in_zone = 0;
-    for (VertexId u : sorted) {
-      if (u >= zb) {
-        EXPECT_TRUE(row.contains(u)) << v << " " << u;
-        ++in_zone;
-      } else {
-        EXPECT_FALSE(row.contains(u));
-      }
+    for (std::size_t w = 0; w < words; ++w) {
+      EXPECT_EQ(row.data[w], expected[w]) << v << " word " << w;
+      in_zone += static_cast<std::size_t>(std::popcount(expected[w]));
     }
     EXPECT_EQ(row.size(), in_zone);
   }
+  const auto s = lazy.stats();
+  EXPECT_EQ(s.bitset_built, lazy.num_vertices() - zb);
+  // Bitset-only rows are not counted per hybrid container.
+  EXPECT_EQ(s.hybrid_rows_array + s.hybrid_rows_bitset + s.hybrid_rows_run,
+            0u);
+  EXPECT_EQ(s.hybrid_bitset_bytes, 0u);
 }
 
 TEST(LazyGraphBitset, BudgetBelowBookkeepingDisablesRows) {
@@ -226,8 +237,8 @@ TEST(LazyGraphBitset, BudgetBelowBookkeepingDisablesRows) {
   LazyGraph lazy = f.make();
   // The O(zone) bookkeeping alone exceeds a 64-byte budget: rows stay off.
   lazy.enable_bitset_rows(/*budget_bytes=*/64);
-  EXPECT_FALSE(lazy.bitset_enabled());
-  EXPECT_FALSE(lazy.bitset_row(0).valid());
+  EXPECT_FALSE(lazy.rows_enabled());
+  EXPECT_FALSE(lazy.zone_row(0).valid());
 }
 
 TEST(LazyGraphBitset, BudgetExhaustionFallsBackGracefully) {
@@ -238,12 +249,12 @@ TEST(LazyGraphBitset, BudgetExhaustionFallsBackGracefully) {
   const std::size_t bookkeeping =
       100 * (sizeof(std::uint64_t*) + sizeof(std::uint32_t));
   lazy.enable_bitset_rows(bookkeeping + 8);
-  ASSERT_TRUE(lazy.bitset_enabled());
-  EXPECT_FALSE(lazy.bitset_row(0).valid());
-  EXPECT_FALSE(lazy.has_bitset(0));
+  ASSERT_TRUE(lazy.rows_enabled());
+  EXPECT_FALSE(lazy.zone_row(0).valid());
+  EXPECT_FALSE(lazy.has_row(0));
   // membership still produces a usable view.
   NeighborhoodView view = lazy.membership(0);
-  EXPECT_FALSE(view.has_bitset());
+  EXPECT_FALSE(view.has_row());
   EXPECT_GT(view.size(), 0u);
   EXPECT_EQ(lazy.stats().bitset_built, 0u);
 }
@@ -252,8 +263,8 @@ TEST(LazyGraphBitset, DisabledAndOutOfZoneRowsAreInvalid) {
   ZoneFixture f(gen::gnp(40, 0.3, 557));
   {
     LazyGraph lazy = f.make();
-    EXPECT_FALSE(lazy.bitset_enabled());
-    EXPECT_FALSE(lazy.bitset_row(0).valid());
+    EXPECT_FALSE(lazy.rows_enabled());
+    EXPECT_FALSE(lazy.zone_row(0).valid());
     EXPECT_EQ(lazy.stats().zone_size, 0u);
   }
   // Raise the incumbent so part of the graph falls outside the zone.
@@ -261,11 +272,12 @@ TEST(LazyGraphBitset, DisabledAndOutOfZoneRowsAreInvalid) {
   f2.incumbent.store(5);
   LazyGraph lazy = f2.make();
   lazy.enable_bitset_rows(1 << 20);
-  ASSERT_TRUE(lazy.bitset_enabled());
+  ASSERT_TRUE(lazy.rows_enabled());
   ASSERT_GT(lazy.zone_begin(), 0u);
-  EXPECT_FALSE(lazy.bitset_row(0).valid());  // leaf: below the zone
-  BitsetRow in_zone = lazy.bitset_row(lazy.num_vertices() - 1);
+  EXPECT_FALSE(lazy.zone_row(0).valid());  // leaf: below the zone
+  HybridRow in_zone = lazy.zone_row(lazy.num_vertices() - 1);
   EXPECT_TRUE(in_zone.valid());
+  EXPECT_EQ(in_zone.kind, RowContainer::kBitset);
 }
 
 TEST(LazyGraphBitset, ForcedRepBuildsRowsInMembership) {
@@ -274,7 +286,8 @@ TEST(LazyGraphBitset, ForcedRepBuildsRowsInMembership) {
   lazy.enable_bitset_rows(1 << 20);
   lazy.set_preferred_rep(NeighborhoodRep::kBitset);
   NeighborhoodView view = lazy.membership(3);
-  EXPECT_TRUE(view.has_bitset());
+  EXPECT_TRUE(view.has_row());
+  EXPECT_EQ(view.row().kind, RowContainer::kBitset);
   EXPECT_FALSE(view.is_hashed());
   // contains() agrees with the base graph inside the zone (incumbent 0:
   // nothing filtered, zone covers everything).

@@ -318,6 +318,36 @@ TEST(Store, HybridAdoptsPrebuiltRows) {
   EXPECT_EQ(stored.lazy_graph.bitset_built, 0u);
 }
 
+TEST(Store, AdoptedRowsAreTheStoredWordsUnderEitherPolicy) {
+  // Adoption hands out the stored words zero-copy as kBitset containers,
+  // whichever policy the caller names.
+  Graph g = gen::gnp(300, 0.05, 12);
+  const std::string path = write_store(g, "policy.lmg", true, 1);
+  auto view = store::BinaryGraphView::open(path);
+  ASSERT_TRUE(view->has_rows());
+  const PrebuiltRows rows = view->rows();
+  std::atomic<VertexId> incumbent{1};
+  for (bool hybrid : {false, true}) {
+    LazyGraph lazy(g, view->order(), view->coreness(), &incumbent);
+    ASSERT_TRUE(lazy.adopt_prebuilt_rows(rows, hybrid));
+    ASSERT_TRUE(lazy.rows_enabled());
+    EXPECT_EQ(lazy.zone_begin(), rows.zone_begin);
+    for (VertexId i = 0; i < rows.zone_bits; ++i) {
+      const VertexId v = rows.zone_begin + i;
+      EXPECT_TRUE(lazy.has_row(v));
+      const HybridRow row = lazy.zone_row(v);
+      ASSERT_EQ(row.kind, RowContainer::kBitset) << v;
+      EXPECT_EQ(row.data, rows.words + std::size_t{i} * rows.stride_words);
+      EXPECT_EQ(row.size(), rows.counts[i]);
+      EXPECT_TRUE(lazy.membership(v).has_row());
+    }
+    const LazyGraph::Stats s = lazy.stats();
+    EXPECT_EQ(s.rows_prebuilt, rows.zone_bits);
+    EXPECT_EQ(s.bitset_built, 0u);
+    EXPECT_EQ(s.hybrid_rows_bitset, 0u);
+  }
+}
+
 TEST(Store, IncompatibleZoneFallsBackToLazyBuild) {
   // C10 + K8,8: omega is 2 (both components are triangle-free), so the
   // live incumbent fixes its zone at coreness >= 2 — every vertex.  A

@@ -87,6 +87,16 @@ P1=$!
 "$CTL" --socket "$SOCK" solve "$DIR/hard.el" --time-limit 2 --id deadline-1 \
   > "$DIR/r2.json" &
 P2=$!
+# The third solve goes in once both are admitted and an executor has taken
+# at least one of them: submitted blindly, it is shed as overloaded when
+# neither executor has dequeued yet (2 queued = --max-queue 2).  Phase 1b
+# tests shedding on purpose.
+for _ in $(seq 1 100); do
+  "$CTL" --socket "$SOCK" status > "$DIR/s0.json" 2>/dev/null
+  [ "$(json_field "$DIR/s0.json" admitted)" -ge 2 ] 2>/dev/null \
+    && [ "$(json_field "$DIR/s0.json" queued)" -le 1 ] && break
+  sleep 0.1
+done
 "$CTL" --socket "$SOCK" solve gen:flickr:small --id fast-2 > "$DIR/r3.json" &
 P3=$!
 wait $P1; E1=$?
