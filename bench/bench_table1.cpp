@@ -15,9 +15,7 @@ using namespace lazymc;
 int main(int argc, char** argv) {
   bench::Options opt = bench::parse_options(argc, argv);
   std::printf("Table I: graph characterization (scale=%s)\n\n",
-              opt.scale == suite::Scale::kMedium  ? "medium"
-              : opt.scale == suite::Scale::kSmall ? "small"
-                                                  : "tiny");
+              name_of(suite::kScaleNames, opt.scale));
   bench::Table table({"graph", "|V|", "|E|", "Delta", "d", "omega", "g",
                       "w_d", "w_h"});
 

@@ -110,16 +110,9 @@ Options parse_options(int argc, char** argv, Options defaults) {
       return arg.substr(std::strlen(prefix));
     };
     if (arg.rfind("--scale=", 0) == 0) {
-      std::string v = value_of("--scale=");
-      if (v == "tiny") {
-        opt.scale = suite::Scale::kTiny;
-      } else if (v == "small") {
-        opt.scale = suite::Scale::kSmall;
-      } else if (v == "medium") {
-        opt.scale = suite::Scale::kMedium;
-      } else {
-        usage_and_exit(arg);
-      }
+      const auto scale = from_name(suite::kScaleNames, value_of("--scale="));
+      if (!scale) usage_and_exit(arg);
+      opt.scale = *scale;
     } else if (arg.rfind("--graphs=", 0) == 0) {
       std::stringstream ss(value_of("--graphs="));
       std::string item;

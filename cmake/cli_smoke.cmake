@@ -193,6 +193,31 @@ expect("${last_out}" "\"verification\":\"ok\"" "timed-out witness verified")
 expect_exit(3 "missing-file exit code" --graph /nonexistent.clq)
 expect_exit(3 "bad-flag exit code" --graph "${clq}" --no-such-flag)
 expect_exit(3 "bad-manifest exit code" --manifest /nonexistent.manifest)
+expect_exit(3 "unknown-rep exit code" --graph "${clq}" --rep bogus)
+# NaN compares false against every bound, so the seconds parser must
+# reject it explicitly rather than run with no limit.
+expect_exit(3 "nan time-limit exit code" --graph "${clq}" --time-limit nan)
+
+# lazymc-convert's numeric flags go through the same strict parsers: a
+# trailing suffix, a negative value or a value past the VertexId range is
+# an input error naming the flag, never a silently truncated store.
+if(LAZYMC_CONVERT_BIN)
+  foreach(bad "--rows-omega;5x" "--threads;4x" "--rows-omega;-3"
+              "--rows-omega;4294967296" "--threads;-1")
+    list(GET bad 0 bad_flag)
+    string(REPLACE ";" " " bad "${bad}")
+    separate_arguments(bad_args UNIX_COMMAND "${bad}")
+    execute_process(COMMAND "${LAZYMC_CONVERT_BIN}" "${clq}"
+                            "${WORK_DIR}/smoke_bad.lmg" ${bad_args}
+                    OUTPUT_VARIABLE bad_out ERROR_VARIABLE bad_err
+                    RESULT_VARIABLE bad_status)
+    if(NOT bad_status EQUAL 3)
+      message(FATAL_ERROR "lazymc-convert ${bad}: expected exit 3, got "
+                          "${bad_status}:\n${bad_out}\n${bad_err}")
+    endif()
+    expect("${bad_err}" "${bad_flag}" "lazymc-convert ${bad} names the flag")
+  endforeach()
+endif()
 
 # 10. Crash-safe batch: a journaled sweep records completed instances; a
 # --resume re-run skips them (solving only what is missing) and exits 0.

@@ -29,15 +29,8 @@ int main(int argc, char** argv) {
   suite::Scale scale = suite::Scale::kSmall;
   int name_start = 2;
   if (argc > 2) {
-    std::string s = argv[2];
-    if (s == "tiny") {
-      scale = suite::Scale::kTiny;
-      name_start = 3;
-    } else if (s == "small") {
-      scale = suite::Scale::kSmall;
-      name_start = 3;
-    } else if (s == "medium") {
-      scale = suite::Scale::kMedium;
+    if (const auto named = from_name(suite::kScaleNames, argv[2])) {
+      scale = *named;
       name_start = 3;
     }
   }

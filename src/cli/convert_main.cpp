@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "cli/graph_source.hpp"
+#include "cli/options.hpp"
 #include "graph/io.hpp"
 #include "kcore/kcore.hpp"
 #include "kcore/order.hpp"
@@ -143,11 +144,11 @@ int run(int argc, char** argv) {
     } else if (arg == "--verify") {
       verify = true;
     } else if (arg == "--rows-omega") {
-      rows_omega = static_cast<VertexId>(std::stoul(next("--rows-omega")));
+      rows_omega = parse_vertex_id(arg, next("--rows-omega"));
       have_rows_omega = true;
       with_rows = true;
     } else if (arg == "--threads") {
-      threads = std::stoul(next("--threads"));
+      threads = parse_count(arg, next("--threads"));
     } else if (arg == "--emit") {
       emit = next("--emit");
       if (emit != "lmg" && emit != "dimacs" && emit != "edges") {

@@ -1,30 +1,26 @@
 #include "cli/graph_source.hpp"
 
+#include <cerrno>
 #include <fstream>
+#include <new>
+#include <optional>
 #include <stdexcept>
 
 #include "graph/io.hpp"
 #include "graph/suite.hpp"
+#include "support/error.hpp"
 #include "support/timer.hpp"
 
 namespace lazymc::cli {
 namespace {
 
 suite::Scale parse_scale(const std::string& name) {
-  if (name == "tiny") return suite::Scale::kTiny;
-  if (name == "small") return suite::Scale::kSmall;
-  if (name == "medium") return suite::Scale::kMedium;
-  throw std::runtime_error("unknown suite scale '" + name +
-                           "' (expected tiny|small|medium)");
-}
-
-std::string scale_name(suite::Scale scale) {
-  switch (scale) {
-    case suite::Scale::kTiny: return "tiny";
-    case suite::Scale::kSmall: return "small";
-    case suite::Scale::kMedium: return "medium";
+  const std::optional<suite::Scale> scale = from_name(suite::kScaleNames, name);
+  if (!scale) {
+    throw std::runtime_error("unknown suite scale '" + name + "' (expected " +
+                             name_list(suite::kScaleNames) + ")");
   }
-  return "?";
+  return *scale;
 }
 
 LoadedGraph load_generated(const std::string& spec) {
@@ -48,16 +44,14 @@ LoadedGraph load_generated(const std::string& spec) {
   suite::Instance instance = suite::make_instance(rest, scale);
   LoadedGraph loaded;
   loaded.graph = std::move(instance.graph);
-  loaded.description = "gen:" + rest + ":" + scale_name(scale);
+  loaded.description =
+      "gen:" + rest + ":" + name_of(suite::kScaleNames, scale);
   loaded.load_seconds = timer.elapsed();
   loaded.load_path = "gen";
   return loaded;
 }
 
-}  // namespace
-
-LoadedGraph load_graph(const std::string& spec) {
-  if (spec.rfind("gen:", 0) == 0) return load_generated(spec);
+LoadedGraph load_file(const std::string& spec) {
   WallTimer timer;
   LoadedGraph loaded;
   if (store::is_lmg_file(spec)) {
@@ -73,6 +67,23 @@ LoadedGraph load_graph(const std::string& spec) {
   loaded.description = "file:" + spec;
   loaded.load_seconds = timer.elapsed();
   return loaded;
+}
+
+}  // namespace
+
+LoadedGraph load_graph(const std::string& spec) {
+  try {
+    return spec.rfind("gen:", 0) == 0 ? load_generated(spec)
+                                      : load_file(spec);
+  } catch (const Error&) {
+    throw;
+  } catch (const std::bad_alloc&) {
+    throw Error(ErrorKind::kResource, "out of memory loading '" + spec + "'");
+  } catch (const std::exception& e) {
+    // Unreadable or ill-formed input; errno is the OS detail when the
+    // failure was an open/read (0 otherwise).
+    throw Error(ErrorKind::kInput, e.what(), errno);
+  }
 }
 
 std::vector<std::string> read_manifest(const std::string& path) {

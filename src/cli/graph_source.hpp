@@ -29,8 +29,10 @@ struct LoadedGraph {
   std::shared_ptr<const store::BinaryGraphView> store;
 };
 
-/// Loads the graph named by `spec`.  Throws std::runtime_error with a
-/// usable message on unknown generator names or unreadable files.
+/// Loads the graph named by `spec`.  Every failure is a classified
+/// Error: kInput for unknown generator names and unreadable or
+/// ill-formed files (with the OS errno when an open or read failed),
+/// kResource when memory ran out.
 LoadedGraph load_graph(const std::string& spec);
 
 /// Reads a batch manifest: one graph spec per line, with blank lines and

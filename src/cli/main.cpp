@@ -40,7 +40,6 @@
 #include "cli/options.hpp"
 #include "cli/report.hpp"
 #include "graph/graph.hpp"
-#include "mc/lazymc.hpp"
 #include "mce/mce.hpp"
 #include "support/control.hpp"
 #include "support/error.hpp"
@@ -48,7 +47,6 @@
 #include "support/json.hpp"
 #include "support/parallel.hpp"
 #include "support/random.hpp"
-#include "support/simd.hpp"
 #include "support/timer.hpp"
 
 namespace lazymc::cli {
@@ -88,88 +86,22 @@ void install_signal_handlers() {
   std::signal(SIGTERM, on_signal);
 }
 
-/// Rethrows the in-flight exception and returns it classified.  Anything
-/// already structured passes through; allocation failure is transient
-/// (resource); everything else defaults to `fallback`.
-Error classify_current_exception(ErrorKind fallback) {
-  try {
-    throw;
-  } catch (const Error& e) {
-    return e;
-  } catch (const std::bad_alloc&) {
-    return Error(ErrorKind::kResource, "out of memory");
-  } catch (const std::exception& e) {
-    return Error(fallback, e.what());
-  } catch (...) {
-    return Error(ErrorKind::kInternal, "unknown exception");
+/// Runs the chosen solver on `loaded` and returns its verified report.
+RunReport run_solver(const Options& options, const LoadedGraph& loaded) {
+  if (options.solver == Solver::kLazyMc) {
+    return solve_lazymc(loaded, options.config);
   }
-}
-
-void solve_into(const Options& options, RunReport& report,
-                const LoadedGraph& loaded) {
   const Graph& g = loaded.graph;
+  const double time_limit = options.config.time_limit_seconds;
+  RunReport report = report_header(loaded, solver_name(options.solver));
+  WallTimer timer;
   switch (options.solver) {
-    case Solver::kLazyMc: {
-      mc::LazyMCConfig config;
-      // Binary-store loads ship the preprocessing (order, coreness,
-      // prebuilt rows); hand it to the solve so those phases collapse.
-      mc::PrebuiltGraph prebuilt;
-      if (loaded.store && loaded.store->has_order()) {
-        prebuilt.order = &loaded.store->order();
-        prebuilt.coreness = &loaded.store->coreness();
-        prebuilt.degeneracy = loaded.store->degeneracy();
-        prebuilt.rows = loaded.store->rows();
-        config.prebuilt = &prebuilt;
-      }
-      config.vertex_order = options.order == Order::kPeeling
-                                ? mc::VertexOrderKind::kPeeling
-                                : mc::VertexOrderKind::kCorenessDegree;
-      switch (options.rep) {
-        case Rep::kAuto: config.neighborhood_rep = NeighborhoodRep::kAuto;
-          break;
-        case Rep::kHash: config.neighborhood_rep = NeighborhoodRep::kHash;
-          break;
-        case Rep::kSorted: config.neighborhood_rep = NeighborhoodRep::kSorted;
-          break;
-        case Rep::kBitset: config.neighborhood_rep = NeighborhoodRep::kBitset;
-          break;
-        case Rep::kHybrid: config.neighborhood_rep = NeighborhoodRep::kHybrid;
-          break;
-      }
-      config.bitset_budget_bytes = options.bitset_budget_mb << 20;
-      config.hybrid_array_max =
-          static_cast<std::uint32_t>(options.hybrid_array_max);
-      config.hybrid_run_min_saving = options.hybrid_run_min_saving;
-      config.pre_extraction_density = options.pre_extraction_density;
-      switch (options.split) {
-        case Split::kAuto: config.split_mode = mc::SplitMode::kAuto; break;
-        case Split::kOn: config.split_mode = mc::SplitMode::kOn; break;
-        case Split::kOff: config.split_mode = mc::SplitMode::kOff; break;
-      }
-      config.split_depth = static_cast<unsigned>(options.split_depth);
-      config.split_min_cands =
-          static_cast<VertexId>(options.split_min_cands);
-      config.split_min_work = options.split_min_work;
-      switch (options.kernels) {
-        case Kernels::kAuto: break;  // leave the dispatcher on best-tier
-        case Kernels::kScalar: config.kernel_tier = simd::Tier::kScalar;
-          break;
-        case Kernels::kAvx2: config.kernel_tier = simd::Tier::kAvx2; break;
-        case Kernels::kAvx512: config.kernel_tier = simd::Tier::kAvx512;
-          break;
-      }
-      config.time_limit_seconds = options.time_limit_seconds;
-      report.lazymc = mc::lazy_mc(g, config);
-      report.has_lazymc = true;
-      report.clique = report.lazymc.clique;
-      report.omega = report.lazymc.omega;
-      report.timed_out = report.lazymc.timed_out;
-      return;
-    }
+    case Solver::kLazyMc:
+      break;  // solve_lazymc above
     case Solver::kDomegaLinearScan:
     case Solver::kDomegaBinarySearch: {
       baselines::DomegaOptions domega;
-      domega.time_limit_seconds = options.time_limit_seconds;
+      domega.time_limit_seconds = time_limit;
       auto mode = options.solver == Solver::kDomegaLinearScan
                       ? baselines::DomegaMode::kLinearScan
                       : baselines::DomegaMode::kBinarySearch;
@@ -177,41 +109,44 @@ void solve_into(const Options& options, RunReport& report,
       report.clique = std::move(result.clique);
       report.omega = result.omega;
       report.timed_out = result.timed_out;
-      return;
+      break;
     }
     case Solver::kMcBrb: {
       baselines::McBrbOptions mcbrb;
-      mcbrb.time_limit_seconds = options.time_limit_seconds;
+      mcbrb.time_limit_seconds = time_limit;
       auto result = baselines::mcbrb_solve(g, mcbrb);
       report.clique = std::move(result.clique);
       report.omega = result.omega;
       report.timed_out = result.timed_out;
-      return;
+      break;
     }
     case Solver::kPmc: {
       baselines::PmcOptions pmc;
-      pmc.time_limit_seconds = options.time_limit_seconds;
+      pmc.time_limit_seconds = time_limit;
       auto result = baselines::pmc_solve(g, pmc);
       report.clique = std::move(result.clique);
       report.omega = result.omega;
       report.timed_out = result.timed_out;
-      return;
+      break;
     }
     case Solver::kReference: {
       report.clique = baselines::max_clique_reference(g);
       report.omega = static_cast<VertexId>(report.clique.size());
-      return;
+      break;
     }
     case Solver::kMce: {
-      SolveControl control(options.time_limit_seconds);
+      SolveControl control(time_limit);
       auto result = mce::count_maximal_cliques(g, &control);
       report.has_mce = true;
       report.mce_count = result.count;
       report.omega = result.max_size;
       report.timed_out = result.timed_out;
-      return;
+      break;
     }
   }
+  report.solve_seconds = timer.elapsed();
+  verify_report(report, g);
+  return report;
 }
 
 /// What one instance attempt produced, for exit codes and error objects.
@@ -235,59 +170,24 @@ InstanceOutcome solve_once(const Options& options, const std::string& spec,
   // bounds wall time per instance, not just solver time: whatever the
   // load consumed is subtracted from the solver's budget below.
   WallTimer end_to_end;
-  LoadedGraph loaded;
-  try {
-    loaded = load_graph(spec);
-  } catch (const Error&) {
-    throw;
-  } catch (const std::bad_alloc&) {
-    throw Error(ErrorKind::kResource, "out of memory loading '" + spec + "'");
-  } catch (const std::exception& e) {
-    // Unreadable or ill-formed input; errno is the OS detail when the
-    // failure was an open/read (0 otherwise).
-    throw Error(ErrorKind::kInput, e.what(), errno);
-  }
-
-  RunReport report;
-  report.graph = loaded.description;
-  report.solver = solver_name(options.solver);
-  report.threads = num_threads();
-  report.num_vertices = loaded.graph.num_vertices();
-  report.num_edges = loaded.graph.num_edges();
-  report.load_seconds = loaded.load_seconds;
-  report.load_path = loaded.load_path;
+  const LoadedGraph loaded = load_graph(spec);
 
   Options budgeted = options;
-  if (std::isfinite(options.time_limit_seconds)) {
+  double& limit = budgeted.config.time_limit_seconds;
+  if (std::isfinite(limit)) {
     // Clamp tiny-positive: a load that already exhausted the limit makes
     // the solver cancel at its first cooperative check and report
     // best-so-far (timed out), rather than dying on a zero/negative limit.
-    budgeted.time_limit_seconds =
-        std::max(options.time_limit_seconds - end_to_end.elapsed(), 1e-9);
+    limit = std::max(limit - end_to_end.elapsed(), 1e-9);
   }
 
-  WallTimer timer;
-  solve_into(budgeted, report, loaded);
-  report.solve_seconds = timer.elapsed();
+  RunReport report = run_solver(budgeted, loaded);
 
   // The solvers share one cancellation path for the clock and the signal;
   // the flag says which it was.  An interrupt takes precedence (the limit
   // did not expire — the user did).
   report.interrupted = interrupt::requested();
   if (report.interrupted) report.timed_out = false;
-
-  // Independent re-check of the witness before anything is printed, in
-  // every build (not just checked ones): the clique must be pairwise
-  // adjacent in the *input* graph and match the omega we are about to
-  // report.  MCE reports a count, not a witness, so it stays "skipped".
-  if (!report.has_mce) {
-    const bool ok =
-        report.clique.size() == static_cast<std::size_t>(report.omega) &&
-        is_clique(loaded.graph, report.clique);
-    report.verification = ok ? "ok" : "failed";
-  }
-
-  report.fault_sites = faults::snapshot();
 
   if (json) {
     render_json(report, std::cout);
@@ -321,7 +221,7 @@ InstanceOutcome run_instance(const Options& options, const std::string& spec,
       out.attempts = static_cast<int>(attempt);
       return out;
     } catch (...) {
-      const Error err = classify_current_exception(ErrorKind::kInternal);
+      const Error err = classify_current_exception();
       if (err.transient() && attempt < max_attempts &&
           !interrupt::requested()) {
         // Capped exponential backoff: 50ms doubling to at most 1s, with

@@ -1,88 +1,76 @@
 #include "cli/options.hpp"
 
 #include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
-#include <stdexcept>
+#include <optional>
 #include <string>
 
 #include "support/error.hpp"
+#include "support/names.hpp"
+#include "support/simd.hpp"
 
 namespace lazymc::cli {
 namespace {
 
 [[noreturn]] void fail(const std::string& what) {
-  throw Error(ErrorKind::kInput, what + "\n\n" + usage());
+  throw Error(ErrorKind::kInput, what);
 }
 
-Solver parse_solver(const std::string& name) {
-  if (name == "lazymc") return Solver::kLazyMc;
-  if (name == "domega" || name == "domega-bs")
-    return Solver::kDomegaBinarySearch;
-  if (name == "domega-ls") return Solver::kDomegaLinearScan;
-  if (name == "mcbrb") return Solver::kMcBrb;
-  if (name == "pmc") return Solver::kPmc;
-  if (name == "reference") return Solver::kReference;
-  if (name == "mce") return Solver::kMce;
-  fail("unknown solver '" + name + "'");
-}
-
-Order parse_order(const std::string& name) {
-  if (name == "coreness") return Order::kCorenessDegree;
-  if (name == "peeling") return Order::kPeeling;
-  fail("unknown vertex order '" + name + "' (expected coreness|peeling)");
-}
-
-Rep parse_rep(const std::string& name) {
-  if (name == "auto") return Rep::kAuto;
-  if (name == "hash") return Rep::kHash;
-  if (name == "sorted") return Rep::kSorted;
-  if (name == "bitset") return Rep::kBitset;
-  if (name == "hybrid") return Rep::kHybrid;
-  fail("unknown representation '" + name +
-       "' (expected auto|hash|sorted|bitset|hybrid)");
-}
-
-Split parse_split(const std::string& name) {
-  if (name == "auto") return Split::kAuto;
-  if (name == "on") return Split::kOn;
-  if (name == "off") return Split::kOff;
-  fail("unknown split mode '" + name + "' (expected auto|on|off)");
-}
-
-Kernels parse_kernels(const std::string& name) {
-  if (name == "auto") return Kernels::kAuto;
-  if (name == "scalar") return Kernels::kScalar;
-  if (name == "avx2") return Kernels::kAvx2;
-  if (name == "avx512") return Kernels::kAvx512;
-  fail("unknown kernel tier '" + name +
-       "' (expected auto|scalar|avx2|avx512)");
-}
-
-std::size_t parse_size(const std::string& flag, const std::string& v) {
+/// An integer in [0, max], or Error(kInput) with `expects` in the message.
+std::uint64_t parse_integer(const std::string& flag, const std::string& v,
+                            std::uint64_t max, const std::string& expects) {
   errno = 0;
   char* end = nullptr;
-  long n = std::strtol(v.c_str(), &end, 10);
-  // Bounding by INT_MAX also keeps later narrowing (e.g. split_depth to
-  // unsigned) exact; no flag has a meaningful value anywhere near it.
-  if (end == v.c_str() || *end != '\0' || n < 0 || errno == ERANGE ||
-      n > std::numeric_limits<int>::max()) {
-    fail(flag + " expects a non-negative integer, got '" + v + "'");
+  const long long n = std::strtoll(v.c_str(), &end, 10);
+  if (end == v.c_str() || *end != '\0' || errno == ERANGE || n < 0 ||
+      static_cast<std::uint64_t>(n) > max) {
+    fail(flag + " expects " + expects + ", got '" + v + "'");
   }
-  return static_cast<std::size_t>(n);
+  return static_cast<std::uint64_t>(n);
 }
 
-double parse_positive_double(const std::string& flag, const std::string& v) {
+/// The value `name` spells in `table`, or Error(kInput) "unknown WHAT
+/// 'name' (expected a|b|c)".
+template <class E, std::size_t N>
+E parse_enum(const Named<E> (&table)[N], const std::string& name,
+             const std::string& what) {
+  const std::optional<E> value = from_name(table, name);
+  if (!value) {
+    fail("unknown " + what + " '" + name + "' (expected " + name_list(table) +
+         ")");
+  }
+  return *value;
+}
+
+}  // namespace
+
+std::size_t parse_count(const std::string& flag, const std::string& value) {
+  return static_cast<std::size_t>(
+      parse_integer(flag, value, std::numeric_limits<int>::max(),
+                    "a non-negative integer"));
+}
+
+double parse_seconds(const std::string& flag, const std::string& value) {
   errno = 0;
   char* end = nullptr;
-  double x = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0' || errno == ERANGE || !(x > 0)) {
-    fail(flag + " expects a positive number, got '" + v + "'");
+  const double x = std::strtod(value.c_str(), &end);
+  if (end == value.c_str() || *end != '\0' || errno == ERANGE ||
+      !(x > 0) || !std::isfinite(x)) {
+    fail(flag + " expects a positive number of seconds, got '" + value +
+         "'");
   }
   return x;
 }
 
-}  // namespace
+VertexId parse_vertex_id(const std::string& flag, const std::string& value) {
+  constexpr VertexId kMax = std::numeric_limits<VertexId>::max();
+  return static_cast<VertexId>(parse_integer(
+      flag, value, kMax,
+      "an integer from 0 to " + std::to_string(kMax)));
+}
 
 std::string usage() {
   return
@@ -119,12 +107,6 @@ std::string usage() {
       "                       disable zone rows entirely\n"
       "  --bitset-budget-mb N memory budget for bitset/hybrid rows\n"
       "                       (default 64; 0 disables the representation)\n"
-      "  --hybrid-array-max N max in-zone degree stored as a sorted array\n"
-      "                       container (default 4096; --rep hybrid)\n"
-      "  --hybrid-run-min-saving X\n"
-      "                       pick the run container only when >= X times\n"
-      "                       smaller than the dense alternative\n"
-      "                       (default 2.0; --rep hybrid)\n"
       "  --pre-density        route the MC-vs-VC solver choice on the\n"
       "                       filter-3 edge estimate instead of the\n"
       "                       extracted subgraph's exact density\n"
@@ -174,89 +156,84 @@ std::string usage() {
       "     emits best-so-far JSON with interrupted: true)\n";
 }
 
-std::string solver_name(Solver solver) {
-  switch (solver) {
-    case Solver::kLazyMc: return "lazymc";
-    case Solver::kDomegaLinearScan: return "domega-ls";
-    case Solver::kDomegaBinarySearch: return "domega-bs";
-    case Solver::kMcBrb: return "mcbrb";
-    case Solver::kPmc: return "pmc";
-    case Solver::kReference: return "reference";
-    case Solver::kMce: return "mce";
-  }
-  return "?";
-}
-
 Options parse_options(int argc, char** argv, bool& wants_help) {
   Options options;
+  mc::LazyMCConfig& config = options.config;
   wants_help = false;
   auto value = [&](int& i, const std::string& flag) -> std::string {
     if (i + 1 >= argc) fail("missing value for " + flag);
     return argv[++i];
   };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      wants_help = true;
-      return options;
-    } else if (arg == "--graph") {
-      options.graph_specs.push_back(value(i, arg));
-    } else if (arg == "--manifest") {
-      options.manifest_path = value(i, arg);
-    } else if (arg == "--solver") {
-      options.solver = parse_solver(value(i, arg));
-    } else if (arg == "--order") {
-      options.order = parse_order(value(i, arg));
-    } else if (arg == "--rep") {
-      options.rep = parse_rep(value(i, arg));
-    } else if (arg == "--bitset-budget-mb") {
-      options.bitset_budget_mb = parse_size(arg, value(i, arg));
-    } else if (arg == "--hybrid-array-max") {
-      options.hybrid_array_max = parse_size(arg, value(i, arg));
-    } else if (arg == "--hybrid-run-min-saving") {
-      options.hybrid_run_min_saving = parse_positive_double(arg, value(i, arg));
-    } else if (arg == "--pre-density") {
-      options.pre_extraction_density = true;
-    } else if (arg == "--split") {
-      options.split = parse_split(value(i, arg));
-    } else if (arg == "--split-depth") {
-      options.split_depth = parse_size(arg, value(i, arg));
-    } else if (arg == "--split-min-cands") {
-      options.split_min_cands = parse_size(arg, value(i, arg));
-    } else if (arg == "--split-min-work") {
-      options.split_min_work = parse_size(arg, value(i, arg));
-    } else if (arg == "--kernels") {
-      options.kernels = parse_kernels(value(i, arg));
-    } else if (arg == "--threads") {
-      options.threads = parse_size(arg, value(i, arg));
-    } else if (arg == "--time-limit") {
-      const std::string v = value(i, arg);
-      char* end = nullptr;
-      double s = std::strtod(v.c_str(), &end);
-      if (end == v.c_str() || *end != '\0' || s <= 0) {
-        fail("--time-limit expects a positive number of seconds, got '" + v +
-             "'");
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--help" || arg == "-h") {
+        wants_help = true;
+        return options;
+      } else if (arg == "--graph") {
+        options.graph_specs.push_back(value(i, arg));
+      } else if (arg == "--manifest") {
+        options.manifest_path = value(i, arg);
+      } else if (arg == "--solver") {
+        const std::string name = value(i, arg);
+        const std::optional<Solver> solver = from_name(kSolverNames, name);
+        if (!solver) fail("unknown solver '" + name + "'");
+        options.solver = *solver;
+      } else if (arg == "--order") {
+        config.vertex_order =
+            parse_enum(mc::kVertexOrderNames, value(i, arg), "vertex order");
+      } else if (arg == "--rep") {
+        config.neighborhood_rep =
+            parse_enum(kNeighborhoodRepNames, value(i, arg), "representation");
+      } else if (arg == "--bitset-budget-mb") {
+        config.bitset_budget_bytes = parse_count(arg, value(i, arg)) << 20;
+      } else if (arg == "--pre-density") {
+        config.pre_extraction_density = true;
+      } else if (arg == "--split") {
+        config.split_mode =
+            parse_enum(mc::kSplitModeNames, value(i, arg), "split mode");
+      } else if (arg == "--split-depth") {
+        config.split_depth =
+            static_cast<unsigned>(parse_count(arg, value(i, arg)));
+      } else if (arg == "--split-min-cands") {
+        config.split_min_cands =
+            static_cast<VertexId>(parse_count(arg, value(i, arg)));
+      } else if (arg == "--split-min-work") {
+        config.split_min_work = parse_count(arg, value(i, arg));
+      } else if (arg == "--kernels") {
+        // "auto" forces nothing: the best tier of build and CPU runs.
+        const std::string name = value(i, arg);
+        config.kernel_tier = simd::tier_from_name(name);
+        if (name != "auto" && !config.kernel_tier) {
+          fail("unknown kernel tier '" + name + "' (expected auto|" +
+               name_list(simd::kTierNames) + ")");
+        }
+      } else if (arg == "--threads") {
+        options.threads = parse_count(arg, value(i, arg));
+      } else if (arg == "--time-limit") {
+        config.time_limit_seconds = parse_seconds(arg, value(i, arg));
+      } else if (arg == "--json") {
+        options.json = true;
+      } else if (arg == "--journal") {
+        options.journal_path = value(i, arg);
+      } else if (arg == "--resume") {
+        options.resume = true;
+      } else if (arg == "--retries") {
+        options.retries = parse_count(arg, value(i, arg));
+      } else if (arg == "--fault") {
+        options.fault_specs.push_back(value(i, arg));
+      } else {
+        fail("unknown argument '" + arg + "'");
       }
-      options.time_limit_seconds = s;
-    } else if (arg == "--json") {
-      options.json = true;
-    } else if (arg == "--journal") {
-      options.journal_path = value(i, arg);
-    } else if (arg == "--resume") {
-      options.resume = true;
-    } else if (arg == "--retries") {
-      options.retries = parse_size(arg, value(i, arg));
-    } else if (arg == "--fault") {
-      options.fault_specs.push_back(value(i, arg));
-    } else {
-      fail("unknown argument '" + arg + "'");
     }
-  }
-  if (options.graph_specs.empty() && options.manifest_path.empty()) {
-    fail("--graph or --manifest is required");
-  }
-  if (options.resume && options.journal_path.empty()) {
-    fail("--resume requires --journal (there is nothing to resume from)");
+    if (options.graph_specs.empty() && options.manifest_path.empty()) {
+      fail("--graph or --manifest is required");
+    }
+    if (options.resume && options.journal_path.empty()) {
+      fail("--resume requires --journal (there is nothing to resume from)");
+    }
+  } catch (const Error& e) {
+    throw Error(ErrorKind::kInput, std::string(e.what()) + "\n\n" + usage());
   }
   return options;
 }

@@ -1,11 +1,12 @@
-// Command-line options for the `lazymc` driver binary.
+// Command-line options for the `lazymc` driver binary, plus the strict
+// numeric flag parsers every front end (lazymc, lazymcd, lazymc-ctl,
+// lazymc-convert) shares.
 //
 // Usage:
 //   lazymc --graph <file|gen:name[:scale]> [--graph ...] [--manifest FILE]
 //          [--solver NAME] [--threads N] [--time-limit SECONDS]
 //          [--order coreness|peeling]
 //          [--rep auto|hash|sorted|bitset|hybrid] [--bitset-budget-mb N]
-//          [--hybrid-array-max N] [--hybrid-run-min-saving X]
 //          [--pre-density]
 //          [--split auto|on|off] [--split-depth N] [--split-min-cands N]
 //          [--split-min-work N] [--kernels auto|scalar|avx2|avx512]
@@ -18,11 +19,20 @@
 //
 // Solvers: lazymc (default), domega (alias domega-bs), domega-ls, mcbrb,
 // pmc, reference, mce.
+//
+// The LazyMC flags write straight into Options::config, so their
+// defaults are mc::LazyMCConfig's; the enum flags read the name tables
+// defined next to each enum (kSolverNames, kVertexOrderNames,
+// kNeighborhoodRepNames, kSplitModeNames, simd::kTierNames).
 #pragma once
 
-#include <limits>
+#include <cstddef>
 #include <string>
 #include <vector>
+
+#include "graph/graph.hpp"
+#include "mc/lazymc.hpp"
+#include "support/names.hpp"
 
 namespace lazymc::cli {
 
@@ -36,19 +46,22 @@ enum class Solver {
   kMce,
 };
 
-enum class Order { kCorenessDegree, kPeeling };
+/// The --solver spellings ("domega" is an alias of "domega-bs").
+inline constexpr Named<Solver> kSolverNames[] = {
+    {"lazymc", Solver::kLazyMc},
+    {"domega-bs", Solver::kDomegaBinarySearch},
+    {"domega", Solver::kDomegaBinarySearch},
+    {"domega-ls", Solver::kDomegaLinearScan},
+    {"mcbrb", Solver::kMcBrb},
+    {"pmc", Solver::kPmc},
+    {"reference", Solver::kReference},
+    {"mce", Solver::kMce},
+};
 
-/// Lazy-graph neighborhood representation (lazymc solver only); mirrors
-/// lazymc::NeighborhoodRep.
-enum class Rep { kAuto, kHash, kSorted, kBitset, kHybrid };
-
-/// Subproblem-splitting mode (lazymc solver only); mirrors mc::SplitMode.
-enum class Split { kAuto, kOn, kOff };
-
-/// SIMD kernel tier for the word-parallel kernels (lazymc solver only):
-/// auto picks the best tier the build and CPU support; the rest force one
-/// for A/B runs and fail when unavailable.
-enum class Kernels { kAuto, kScalar, kAvx2, kAvx512 };
+/// Human-readable solver name (the canonical --solver spelling).
+inline const char* solver_name(Solver solver) {
+  return name_of(kSolverNames, solver);
+}
 
 struct Options {
   /// One entry per --graph flag (file path or "gen:name[:scale]").
@@ -57,20 +70,10 @@ struct Options {
   /// resolved by the driver and appended after graph_specs.
   std::string manifest_path;
   Solver solver = Solver::kLazyMc;
-  Order order = Order::kCorenessDegree;
-  Rep rep = Rep::kAuto;
-  std::size_t bitset_budget_mb = 64;  // 0 disables bitset/hybrid rows
-  /// Hybrid-row container thresholds (--rep hybrid only).
-  std::size_t hybrid_array_max = 4096;
-  double hybrid_run_min_saving = 2.0;
-  bool pre_extraction_density = false;
-  Split split = Split::kAuto;
-  std::size_t split_depth = 2;       // 0 disables splitting
-  std::size_t split_min_cands = 128;
-  std::size_t split_min_work = 0;    // 0 = count rule, >0 = work estimate
-  Kernels kernels = Kernels::kAuto;
+  /// The LazyMC solve configuration.  Its time_limit_seconds
+  /// (--time-limit) applies to every solver.
+  mc::LazyMCConfig config;
   std::size_t threads = 0;  // 0 = hardware default
-  double time_limit_seconds = std::numeric_limits<double>::infinity();
   bool json = false;
   /// Fault-injection specs (one per --fault flag), applied in order after
   /// the LAZYMC_FAULTS environment variable.  Rejected (input error) when
@@ -88,11 +91,23 @@ struct Options {
 /// Returns the usage string (also printed by --help).
 std::string usage();
 
-/// Parses argv.  Throws std::runtime_error with a message on bad input;
-/// sets `wants_help` when --help/-h was given (caller prints usage, exits 0).
+/// Parses argv.  Throws Error(kInput) with a message and the usage text
+/// on bad input; sets `wants_help` when --help/-h was given (caller
+/// prints usage, exits 0).
 Options parse_options(int argc, char** argv, bool& wants_help);
 
-/// Human-readable solver name (matches the --solver spelling).
-std::string solver_name(Solver solver);
+// ---- numeric flag values (all front ends) ----------------------------------
+// The whole value must parse; anything else throws Error(kInput) naming
+// `flag`, which every binary maps to exit code 3.
+
+/// A non-negative integer up to INT_MAX (so narrowing it to any
+/// unsigned config field stays exact).
+std::size_t parse_count(const std::string& flag, const std::string& value);
+
+/// A positive, finite number of seconds.
+double parse_seconds(const std::string& flag, const std::string& value);
+
+/// A non-negative integer that fits in a VertexId.
+VertexId parse_vertex_id(const std::string& flag, const std::string& value);
 
 }  // namespace lazymc::cli

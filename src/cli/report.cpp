@@ -7,7 +7,11 @@
 #include <type_traits>
 #include <vector>
 
+#include "cli/options.hpp"
+#include "support/faultinject.hpp"
 #include "support/json.hpp"
+#include "support/parallel.hpp"
+#include "support/timer.hpp"
 
 namespace lazymc::cli {
 
@@ -170,6 +174,50 @@ void render_json(const RunReport& r, std::ostream& out) {
   }
   w.close();
   out << "\n";
+}
+
+RunReport report_header(const LoadedGraph& loaded, const std::string& solver) {
+  RunReport report;
+  report.graph = loaded.description;
+  report.solver = solver;
+  report.threads = num_threads();
+  report.num_vertices = loaded.graph.num_vertices();
+  report.num_edges = loaded.graph.num_edges();
+  report.load_seconds = loaded.load_seconds;
+  report.load_path = loaded.load_path;
+  return report;
+}
+
+bool verify_report(RunReport& report, const Graph& g) {
+  if (!report.has_mce) {
+    const bool ok =
+        report.clique.size() == static_cast<std::size_t>(report.omega) &&
+        is_clique(g, report.clique);
+    report.verification = ok ? "ok" : "failed";
+  }
+  report.fault_sites = faults::snapshot();
+  return report.verification != "failed";
+}
+
+RunReport solve_lazymc(const LoadedGraph& loaded, mc::LazyMCConfig config) {
+  RunReport report = report_header(loaded, solver_name(Solver::kLazyMc));
+  mc::PrebuiltGraph prebuilt;
+  if (loaded.store && loaded.store->has_order()) {
+    prebuilt.order = &loaded.store->order();
+    prebuilt.coreness = &loaded.store->coreness();
+    prebuilt.degeneracy = loaded.store->degeneracy();
+    prebuilt.rows = loaded.store->rows();
+    config.prebuilt = &prebuilt;
+  }
+  WallTimer timer;
+  report.lazymc = mc::lazy_mc(loaded.graph, config);
+  report.solve_seconds = timer.elapsed();
+  report.has_lazymc = true;
+  report.clique = report.lazymc.clique;
+  report.omega = report.lazymc.omega;
+  report.timed_out = report.lazymc.timed_out;
+  verify_report(report, loaded.graph);
+  return report;
 }
 
 }  // namespace lazymc::cli

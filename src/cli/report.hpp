@@ -1,8 +1,11 @@
-// Renders a driver run as human-readable text or a single JSON object.
+// Assembles a driver run's report and renders it as human-readable text
+// or a single JSON object.
 //
-// The JSON form exposes the complete LazyMCResult instrumentation (phase
-// times, search stats, lazy-graph stats) so scripted sweeps can regenerate
-// the paper's figures without parsing tables.
+// The LazyMC solve path (solve_lazymc) is shared by the lazymc driver and
+// the lazymcd daemon, so both produce the same report for the same
+// solve.  The JSON form exposes the complete LazyMCResult instrumentation
+// (phase times, search stats, lazy-graph stats) so scripted sweeps can
+// regenerate the paper's figures without parsing tables.
 #pragma once
 
 #include <cstdint>
@@ -10,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "cli/graph_source.hpp"
 #include "graph/graph.hpp"
 #include "mc/lazymc.hpp"
 #include "support/faultinject.hpp"
@@ -58,6 +62,26 @@ struct RunReport {
   /// -DLAZYMC_FAULTS=ON builds once any site was interned.
   std::vector<faults::SiteStats> fault_sites;
 };
+
+/// A report whose header (graph, solver, pool threads, sizes, load
+/// provenance) describes a solve of `loaded` by `solver`.
+RunReport report_header(const LoadedGraph& loaded, const std::string& solver);
+
+/// Independent re-check of the witness, in every build (not just checked
+/// ones): the clique must be pairwise adjacent in the *input* graph and
+/// match the omega about to be reported.  Sets report.verification to
+/// "ok" or "failed" (MCE reports a count, not a witness, so it stays
+/// "skipped"), snapshots the fault-injection counters, and returns false
+/// when verification failed.
+bool verify_report(RunReport& report, const Graph& g);
+
+/// Runs LazyMC on `loaded` under `config` and returns the verified
+/// report.  A binary store's preprocessing (order, coreness, rows) is
+/// handed to the solve, so those phases collapse; `loaded` outlives the
+/// solve.  Callers add their own framing (interrupt/timeout
+/// classification, request identity) and decide what a failed
+/// verification means.
+RunReport solve_lazymc(const LoadedGraph& loaded, mc::LazyMCConfig config);
 
 void render_text(const RunReport& report, std::ostream& out);
 void render_json(const RunReport& report, std::ostream& out);

@@ -6,27 +6,6 @@
 #include "support/faultinject.hpp"
 
 namespace lazymc::daemon {
-namespace {
-
-/// Rethrows the in-flight exception classified (mirrors the batch
-/// driver's catch-site policy: structured errors pass through, bad_alloc
-/// is resource, anything else internal).
-Error classify_current_exception() {
-  try {
-    throw;
-  } catch (const Error& e) {
-    return e;
-  } catch (const std::bad_alloc&) {
-    return Error(ErrorKind::kResource, "out of memory");
-  } catch (const std::exception& e) {
-    return Error(ErrorKind::kInternal, e.what());
-  } catch (...) {
-    return Error(ErrorKind::kInternal, "unknown exception");
-  }
-}
-
-}  // namespace
-
 RequestBroker::RequestBroker(BrokerConfig config, SolveFn solve)
     : config_(config), solve_(std::move(solve)) {
   const std::size_t n = std::max<std::size_t>(1, config_.executors);

@@ -6,8 +6,10 @@
 // 6 interrupted (best-so-far).
 
 #include <iostream>
+#include <optional>
 #include <string>
 
+#include "cli/options.hpp"
 #include "daemon/protocol.hpp"
 #include "support/error.hpp"
 #include "support/jsonmini.hpp"
@@ -78,32 +80,14 @@ int ctl_main(int argc, char** argv) {
     } else if (arg == "--socket") {
       socket_path = value();
     } else if (arg == "--time-limit") {
-      const std::string v = value();
-      try {
-        std::size_t pos = 0;
-        request.time_limit = std::stod(v, &pos);
-        if (pos != v.size() || !(request.time_limit > 0)) throw Error(ErrorKind::kInput, "");
-      } catch (...) {
-        fail("--time-limit needs a positive number of seconds, got '" + v +
-             "'");
-      }
+      request.time_limit = cli::parse_seconds(arg, value());
     } else if (arg == "--id") {
       request.id = value();
     } else if (!have_verb) {
       have_verb = true;
-      if (arg == "load") {
-        request.verb = Verb::kLoad;
-      } else if (arg == "solve") {
-        request.verb = Verb::kSolve;
-      } else if (arg == "status" || arg == "health") {
-        request.verb = Verb::kStatus;
-      } else if (arg == "drain") {
-        request.verb = Verb::kDrain;
-      } else if (arg == "stop") {
-        request.verb = Verb::kStop;
-      } else {
-        fail("unknown verb '" + arg + "' (try --help)");
-      }
+      const std::optional<Verb> verb = from_name(kVerbNames, arg);
+      if (!verb) fail("unknown verb '" + arg + "' (try --help)");
+      request.verb = *verb;
     } else if (request.graph.empty() &&
                (request.verb == Verb::kLoad || request.verb == Verb::kSolve)) {
       request.graph = arg;

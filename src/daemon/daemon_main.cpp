@@ -6,10 +6,10 @@
 // See src/daemon/server.hpp for the architecture and protocol.hpp for
 // the wire format; `lazymc-ctl` is the matching client.
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
+#include "cli/options.hpp"
 #include "daemon/server.hpp"
 #include "support/error.hpp"
 #include "support/faultinject.hpp"
@@ -53,32 +53,6 @@ void print_usage(std::ostream& out) {
   throw Error(ErrorKind::kInput, message);
 }
 
-double parse_seconds(const std::string& flag, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const double parsed = std::stod(value, &pos);
-    if (pos != value.size() || !(parsed > 0)) fail(flag + " needs a positive number of seconds, got '" + value + "'");
-    return parsed;
-  } catch (const Error&) {
-    throw;
-  } catch (...) {
-    fail(flag + " needs a positive number of seconds, got '" + value + "'");
-  }
-}
-
-std::size_t parse_count(const std::string& flag, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const long parsed = std::stol(value, &pos);
-    if (pos != value.size() || parsed < 0) fail(flag + " needs a non-negative integer, got '" + value + "'");
-    return static_cast<std::size_t>(parsed);
-  } catch (const Error&) {
-    throw;
-  } catch (...) {
-    fail(flag + " needs a non-negative integer, got '" + value + "'");
-  }
-}
-
 int daemon_main(int argc, char** argv) {
   ServerConfig config;
   for (int i = 1; i < argc; ++i) {
@@ -97,21 +71,21 @@ int daemon_main(int argc, char** argv) {
     } else if (arg == "--journal") {
       config.journal_path = value();
     } else if (arg == "--threads") {
-      config.threads = parse_count(arg, value());
+      config.threads = cli::parse_count(arg, value());
     } else if (arg == "--executors") {
-      config.executors = parse_count(arg, value());
+      config.executors = cli::parse_count(arg, value());
     } else if (arg == "--max-queue") {
-      config.max_queue = parse_count(arg, value());
+      config.max_queue = cli::parse_count(arg, value());
     } else if (arg == "--max-connections") {
-      config.max_connections = parse_count(arg, value());
+      config.max_connections = cli::parse_count(arg, value());
     } else if (arg == "--default-time-limit") {
-      config.default_time_limit = parse_seconds(arg, value());
+      config.default_time_limit = cli::parse_seconds(arg, value());
     } else if (arg == "--max-time-limit") {
-      config.max_time_limit = parse_seconds(arg, value());
+      config.max_time_limit = cli::parse_seconds(arg, value());
     } else if (arg == "--watchdog-interval") {
-      config.watchdog.interval_seconds = parse_seconds(arg, value());
+      config.watchdog.interval_seconds = cli::parse_seconds(arg, value());
     } else if (arg == "--watchdog-grace") {
-      config.watchdog.grace_seconds = parse_seconds(arg, value());
+      config.watchdog.grace_seconds = cli::parse_seconds(arg, value());
     } else {
       fail("unknown flag '" + arg + "' (try --help)");
     }

@@ -1,22 +1,13 @@
 #include "daemon/protocol.hpp"
 
+#include <optional>
 #include <sstream>
 
+#include "lazygraph/lazy_graph.hpp"
 #include "support/json.hpp"
 #include "support/jsonmini.hpp"
 
 namespace lazymc::daemon {
-
-const char* verb_name(Verb verb) {
-  switch (verb) {
-    case Verb::kLoad: return "load";
-    case Verb::kSolve: return "solve";
-    case Verb::kStatus: return "status";
-    case Verb::kDrain: return "drain";
-    case Verb::kStop: return "stop";
-  }
-  return "?";
-}
 
 Request parse_request(const std::string& line) {
   Request request;
@@ -25,28 +16,16 @@ Request parse_request(const std::string& line) {
     throw Error(ErrorKind::kInput,
                 "request has no \"verb\" field: " + line);
   }
-  if (verb == "load") {
-    request.verb = Verb::kLoad;
-  } else if (verb == "solve") {
-    request.verb = Verb::kSolve;
-  } else if (verb == "status" || verb == "health") {
-    request.verb = Verb::kStatus;
-  } else if (verb == "drain") {
-    request.verb = Verb::kDrain;
-  } else if (verb == "stop") {
-    request.verb = Verb::kStop;
-  } else {
-    throw Error(ErrorKind::kInput, "unknown verb '" + verb + "'");
-  }
+  const std::optional<Verb> parsed = from_name(kVerbNames, verb);
+  if (!parsed) throw Error(ErrorKind::kInput, "unknown verb '" + verb + "'");
+  request.verb = *parsed;
   json_get_string(line, "graph", request.graph);
   json_get_string(line, "id", request.id);
   if (json_get_string(line, "rep", request.rep) && !request.rep.empty() &&
-      request.rep != "auto" && request.rep != "hash" &&
-      request.rep != "sorted" && request.rep != "bitset" &&
-      request.rep != "hybrid") {
+      !from_name(kNeighborhoodRepNames, request.rep)) {
     throw Error(ErrorKind::kInput,
-                "unknown rep '" + request.rep +
-                    "' (expected auto|hash|sorted|bitset|hybrid)");
+                "unknown rep '" + request.rep + "' (expected " +
+                    name_list(kNeighborhoodRepNames) + ")");
   }
   double limit = 0;
   if (json_get_number(line, "time_limit", limit)) {
@@ -93,12 +72,12 @@ std::string error_response(const std::string& request_id, ErrorKind kind,
   return buf.str();
 }
 
-std::string ack_response(const std::string& verb, const std::string& detail) {
+std::string ack_response(Verb verb, const std::string& detail) {
   std::ostringstream buf;
   JsonWriter w(buf);
   w.open();
   w.field("ok", true);
-  w.field("verb", verb);
+  w.field("verb", verb_name(verb));
   if (!detail.empty()) w.field("detail", detail);
   w.close();
   return buf.str();

@@ -25,12 +25,21 @@
 #include <string>
 
 #include "support/error.hpp"
+#include "support/names.hpp"
 
 namespace lazymc::daemon {
 
 enum class Verb { kLoad, kSolve, kStatus, kDrain, kStop };
 
-const char* verb_name(Verb verb);
+/// Verb spellings on the wire and on the lazymc-ctl command line
+/// ("health" is an alias of "status").
+inline constexpr Named<Verb> kVerbNames[] = {
+    {"load", Verb::kLoad},     {"solve", Verb::kSolve},
+    {"status", Verb::kStatus}, {"health", Verb::kStatus},
+    {"drain", Verb::kDrain},   {"stop", Verb::kStop},
+};
+
+inline const char* verb_name(Verb verb) { return name_of(kVerbNames, verb); }
 
 struct Request {
   Verb verb = Verb::kStatus;
@@ -60,7 +69,7 @@ std::string error_response(const std::string& request_id, ErrorKind kind,
                            const std::string& message, int sys_errno = 0);
 
 /// One-line {"ok":true,...} acknowledgement with an optional detail
-/// field (drain/stop acks).
-std::string ack_response(const std::string& verb, const std::string& detail);
+/// field (load/drain/stop acks).
+std::string ack_response(Verb verb, const std::string& detail);
 
 }  // namespace lazymc::daemon

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <iostream>
 #include <list>
@@ -25,22 +24,6 @@
 
 namespace lazymc::daemon {
 namespace {
-
-/// Mirrors the executor's catch-site policy for paths outside the broker
-/// (graph loads, connection dispatch).
-Error classify_current_exception() {
-  try {
-    throw;
-  } catch (const Error& e) {
-    return e;
-  } catch (const std::bad_alloc&) {
-    return Error(ErrorKind::kResource, "out of memory");
-  } catch (const std::exception& e) {
-    return Error(ErrorKind::kInternal, e.what());
-  } catch (...) {
-    return Error(ErrorKind::kInternal, "unknown exception");
-  }
-}
 
 std::string chomp(std::string s) {
   while (!s.empty() && (s.back() == '\n' || s.back() == '\r')) s.pop_back();
@@ -76,12 +59,8 @@ std::shared_ptr<const cli::LoadedGraph> GraphStore::get(
         std::make_shared<const cli::LoadedGraph>(cli::load_graph(spec));
     promise.set_value(loaded);
     return loaded;
-  } catch (const Error& e) {
-    failure = e;
-  } catch (const std::bad_alloc&) {
-    failure = Error(ErrorKind::kResource, "out of memory loading '" + spec + "'");
-  } catch (const std::exception& e) {
-    failure = Error(ErrorKind::kInput, e.what(), errno);
+  } catch (...) {
+    failure = classify_current_exception();
   }
   {
     // Forget the failed load first so a request arriving after the
@@ -155,55 +134,19 @@ struct Daemon {
     const std::shared_ptr<const cli::LoadedGraph> loaded =
         store.get(ticket.graph());
 
-    cli::RunReport report;
-    report.request_id = ticket.client_id().empty()
-                            ? std::to_string(ticket.id())
-                            : ticket.client_id();
-    report.graph = loaded->description;
-    report.solver = "lazymc";
-    report.threads = num_threads();
-    report.num_vertices = loaded->graph.num_vertices();
-    report.num_edges = loaded->graph.num_edges();
-    report.load_seconds = loaded->load_seconds;
-    report.load_path = loaded->load_path;
-
     mc::LazyMCConfig mc_config;
-    // Binary-store graphs carry their preprocessing; the solve consumes
-    // the stored order/coreness and adopts the mmap'ed rows zero-copy
-    // when the zone is compatible (lifetime: `loaded` outlives the solve).
-    mc::PrebuiltGraph prebuilt;
-    if (loaded->store && loaded->store->has_order()) {
-      prebuilt.order = &loaded->store->order();
-      prebuilt.coreness = &loaded->store->coreness();
-      prebuilt.degeneracy = loaded->store->degeneracy();
-      prebuilt.rows = loaded->store->rows();
-      mc_config.prebuilt = &prebuilt;
-    }
     // The per-request isolation seam: this solve observes (and is
     // cancellable through) the ticket's control only.
     mc_config.control = &ticket.control();
     // Per-request representation choice (validated at parse time; empty
     // keeps the config default, auto).
-    const std::string& rep = ticket.rep();
-    if (rep == "hash") {
-      mc_config.neighborhood_rep = NeighborhoodRep::kHash;
-    } else if (rep == "sorted") {
-      mc_config.neighborhood_rep = NeighborhoodRep::kSorted;
-    } else if (rep == "bitset") {
-      mc_config.neighborhood_rep = NeighborhoodRep::kBitset;
-    } else if (rep == "hybrid") {
-      mc_config.neighborhood_rep = NeighborhoodRep::kHybrid;
+    if (const auto rep = from_name(kNeighborhoodRepNames, ticket.rep())) {
+      mc_config.neighborhood_rep = *rep;
     }
-
-    WallTimer timer;
-    mc::LazyMCResult result = mc::lazy_mc(loaded->graph, mc_config);
-    report.solve_seconds = timer.elapsed();
-
-    report.clique = std::move(result.clique);
-    report.omega = result.omega;
-    report.has_lazymc = true;
-    result.clique = report.clique;  // keep the embedded copy coherent
-    report.lazymc = std::move(result);
+    cli::RunReport report = cli::solve_lazymc(*loaded, mc_config);
+    report.request_id = ticket.client_id().empty()
+                            ? std::to_string(ticket.id())
+                            : ticket.client_id();
 
     const StopCause cause = ticket.control().stop_cause();
     report.interrupted = cause == StopCause::kInterrupted ||
@@ -214,15 +157,9 @@ struct Daemon {
                             : report.timed_out ? "timeout"
                                                : "ok";
 
-    // Same independent witness re-check the CLI performs: even a
-    // best-so-far (interrupted/timeout) clique must verify against the
-    // input graph before it is sent anywhere.
-    const bool ok =
-        report.clique.size() == static_cast<std::size_t>(report.omega) &&
-        is_clique(loaded->graph, report.clique);
-    report.verification = ok ? "ok" : "failed";
-    report.fault_sites = faults::snapshot();
-    if (!ok) {
+    // Even a best-so-far (interrupted/timeout) clique must verify against
+    // the input graph before it is sent anywhere.
+    if (report.verification == "failed") {
       throw Error(ErrorKind::kInternal,
                   "result verification failed for request " +
                       report.request_id + " on " + report.graph);
@@ -313,7 +250,7 @@ struct Daemon {
                << " vertices, " << loaded->graph.num_edges() << " edges, via "
                << loaded->load_path;
         if (!request.rep.empty()) detail << ", rep=" << request.rep;
-        return ack_response("load", detail.str());
+        return ack_response(request.verb, detail.str());
       }
       case Verb::kSolve: {
         // Blocks this connection thread until an executor completes the
@@ -328,13 +265,13 @@ struct Daemon {
       case Verb::kDrain:
         broker->drain(/*cancel_in_flight=*/false);
         drain_requested.store(true, std::memory_order_relaxed);
-        return ack_response("drain",
+        return ack_response(request.verb,
                             "draining: new requests shed, in-flight "
                             "requests finish, then the daemon exits");
       case Verb::kStop:
         broker->drain(/*cancel_in_flight=*/true);
         stop_requested.store(true, std::memory_order_relaxed);
-        return ack_response("stop",
+        return ack_response(request.verb,
                             "stopping: in-flight requests return verified "
                             "best-so-far results, then the daemon exits");
     }
@@ -512,8 +449,9 @@ int Server::run() {
   d.broker.reset();
 
   std::cerr << "lazymcd: exiting ("
-            << (d.stop_requested.load(std::memory_order_relaxed) ? "stop"
-                                                                 : "drain")
+            << verb_name(d.stop_requested.load(std::memory_order_relaxed)
+                             ? Verb::kStop
+                             : Verb::kDrain)
             << ")\n";
   return 0;
 }

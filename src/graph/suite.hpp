@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "support/names.hpp"
 
 namespace lazymc::suite {
 
@@ -29,6 +30,13 @@ enum class Scale {
   kTiny,    // unit/property tests: <= ~600 vertices
   kSmall,   // integration tests:   ~2k vertices
   kMedium,  // benchmark harness:   up to ~40k vertices
+};
+
+/// The gen:NAME:SCALE / --scale spellings.
+inline constexpr Named<Scale> kScaleNames[] = {
+    {"tiny", Scale::kTiny},
+    {"small", Scale::kSmall},
+    {"medium", Scale::kMedium},
 };
 
 struct Instance {

@@ -11,6 +11,13 @@
 #include "support/parallel.hpp"
 
 namespace lazymc {
+namespace {
+
+// Hybrid row policy thresholds (see LazyGraph::enable_rows).
+constexpr std::uint32_t kHybridArrayMax = 4096;
+constexpr std::size_t kHybridRunMinSaving = 2;
+
+}  // namespace
 
 bool NeighborhoodView::contains(VertexId v) const {
   if (hash_) return hash_->contains(v);
@@ -154,7 +161,7 @@ void LazyGraph::build_row(VertexId v) {
   SpinLockGuard guard(locks_[v]);
   if (flags_[v].load(std::memory_order_relaxed) & kRowBuilt) return;
   if (rows_exhausted_.load(std::memory_order_relaxed)) return;
-  const bool hybrid = policy_.hybrid;
+  const bool hybrid = hybrid_rows_;
   // A bitset-only row is always one full stride, so it reserves its words
   // before reading the neighborhood; a hybrid row's size depends on its
   // offsets, so it reserves once they are known.
@@ -201,11 +208,11 @@ void LazyGraph::build_row(VertexId v) {
   // Container selection.  Bitset-only: the packed words, always.  Hybrid:
   // by per-row byte cost at the carve granularity (whole 64-byte cache
   // lines — the budget charges the stride):
-  //   array  — count u32 offsets, eligible when count <= array_max and it
-  //            actually undercuts the packed words;
+  //   array  — count u32 offsets, eligible when count <= kHybridArrayMax
+  //            and it actually undercuts the packed words;
   //   run    — (start, len) pairs, chosen only when at least
-  //            run_min_saving x smaller than the best dense alternative
-  //            (cursor overhead is not worth a marginal saving);
+  //            kHybridRunMinSaving x smaller than the best dense
+  //            alternative (cursor overhead is not worth a marginal saving);
   //   bitset — row_words_ packed words, the dense default;
   // and an empty row is a zero-unit array that carves nothing.
   RowContainer kind = RowContainer::kBitset;
@@ -218,7 +225,7 @@ void LazyGraph::build_row(VertexId v) {
   } else if (hybrid) {
     const std::size_t stride_array =
         ((static_cast<std::size_t>(count) + 1) / 2 + 7) & ~std::size_t{7};
-    if (count <= policy_.array_max && stride_array < stride) {
+    if (count <= kHybridArrayMax && stride_array < stride) {
       kind = RowContainer::kArray;
       stride = stride_array;
       units = count;
@@ -226,8 +233,7 @@ void LazyGraph::build_row(VertexId v) {
     const auto runs = static_cast<std::uint32_t>(run_payload.size() / 2);
     const std::size_t stride_run =
         (static_cast<std::size_t>(runs) + 7) & ~std::size_t{7};
-    if (static_cast<double>(stride_run) * policy_.run_min_saving <=
-        static_cast<double>(stride)) {
+    if (stride_run * kHybridRunMinSaving <= stride) {
       kind = RowContainer::kRun;
       stride = stride_run;
       units = runs;
@@ -376,14 +382,10 @@ bool LazyGraph::init_zone(std::size_t budget_bytes) {
   return true;
 }
 
-void LazyGraph::enable_rows(std::size_t budget_bytes,
-                            const RowPolicy& policy) {
+void LazyGraph::enable_rows(std::size_t budget_bytes, bool hybrid) {
   if (rows_enabled_) return;
   if (!init_zone(budget_bytes)) return;
-  policy_ = policy;
-  // < 1 would let a *larger* run container beat the alternatives; clamp
-  // so run selection is always a genuine saving.
-  policy_.run_min_saving = std::max(1.0, policy.run_min_saving);
+  hybrid_rows_ = hybrid;
   rows_enabled_ = true;
 }
 
@@ -546,7 +548,7 @@ LazyGraph::Stats LazyGraph::stats() const {
   // The committed row bytes are exactly the per-class sum under the
   // hybrid policy (quiescent check: callers read stats after the search
   // completes).
-  LAZYMC_ASSERT(!policy_.hybrid ||
+  LAZYMC_ASSERT(!hybrid_rows_ ||
                     s.bitset_bytes == s.hybrid_array_bytes +
                                           s.hybrid_bitset_bytes +
                                           s.hybrid_run_bytes,

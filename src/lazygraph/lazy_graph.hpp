@@ -47,6 +47,7 @@
 #include "intersect/hybrid_row.hpp"
 #include "kcore/order.hpp"
 #include "support/check.hpp"
+#include "support/names.hpp"
 #include "support/spinlock.hpp"
 #include "support/stats_schema.hpp"
 #include "support/thread_annotations.hpp"
@@ -69,17 +70,11 @@ enum class NeighborhoodRep {
   kHybrid,  // same, under the hybrid row policy (container per density)
 };
 
-/// How zone rows pick their container.  Bitset-only (the default; --rep
-/// auto|bitset) makes every row a kBitset container of packed words, an
-/// empty row included.  Hybrid (--rep hybrid) stores each row as the
-/// cheapest container for its density: a sorted u32 offset array (in-zone
-/// degree <= `array_max` and smaller than the packed words), run-length
-/// spans (at least `run_min_saving` x smaller than the best dense
-/// alternative), or the packed words; an empty row carves nothing.
-struct RowPolicy {
-  bool hybrid = false;
-  std::uint32_t array_max = 4096;
-  double run_min_saving = 2.0;
+/// The --rep / "rep" spellings.
+inline constexpr Named<NeighborhoodRep> kNeighborhoodRepNames[] = {
+    {"auto", NeighborhoodRep::kAuto},     {"hash", NeighborhoodRep::kHash},
+    {"sorted", NeighborhoodRep::kSorted}, {"bitset", NeighborhoodRep::kBitset},
+    {"hybrid", NeighborhoodRep::kHybrid},
 };
 
 /// A membership view over whichever representations a vertex has.
@@ -165,7 +160,7 @@ class LazyGraph {
 
   /// Fixes the zone of interest to the relabelled ids whose coreness is >=
   /// the incumbent *now* and allows zone rows to be built for them under
-  /// `policy`, up to `budget_bytes` of total memory (the O(zone) row
+  /// the row policy, up to `budget_bytes` of total memory (the O(zone) row
   /// pointers and popcounts allocated here are charged against the
   /// budget, the rest caps row storage).  Rows are carved from one slab
   /// arena with per-container byte accounting, so under the hybrid policy
@@ -173,11 +168,19 @@ class LazyGraph {
   /// the word kernels.  Call once, before the graph is used concurrently;
   /// a no-op when rows are already enabled, the zone is empty or the
   /// bookkeeping alone would bust the budget.
-  void enable_rows(std::size_t budget_bytes, const RowPolicy& policy);
+  ///
+  /// The row policy picks each row's container.  Bitset-only (hybrid =
+  /// false; --rep auto|bitset) makes every row a kBitset container of
+  /// packed words, an empty row included.  Hybrid (--rep hybrid) stores
+  /// each row as the cheapest container for its density: a sorted u32
+  /// offset array (in-zone degree <= 4096 and smaller than the packed
+  /// words), run-length spans (at least 2x smaller than the best dense
+  /// alternative), or the packed words; an empty row carves nothing.
+  void enable_rows(std::size_t budget_bytes, bool hybrid);
 
   /// enable_rows under the bitset-only policy.
   void enable_bitset_rows(std::size_t budget_bytes) {
-    enable_rows(budget_bytes, RowPolicy{});
+    enable_rows(budget_bytes, /*hybrid=*/false);
   }
 
   bool rows_enabled() const { return rows_enabled_; }
@@ -311,7 +314,7 @@ class LazyGraph {
   // zone rows (zone-indexed: entry i is relabelled vertex zone_begin_+i)
   NeighborhoodRep rep_ = NeighborhoodRep::kAuto;
   bool rows_enabled_ = false;
-  RowPolicy policy_;
+  bool hybrid_rows_ = false;  // row policy (enable_rows)
   VertexId zone_begin_ = 0;
   VertexId zone_bits_ = 0;
   std::size_t row_words_ = 0;

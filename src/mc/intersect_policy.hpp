@@ -17,7 +17,7 @@
 //   run-and       — word form of A x kRun row (span masks);
 //   bitset-probe  — scalar probes against a kBitset or kRun row;
 //   hash-batched  — prefetched batch probes into the hopscotch set
-//                   (|A| >= batch_min, so the lookahead pays off);
+//                   (|A| >= kBatchMin, so the lookahead pays off);
 //   hash          — serial hopscotch probes (small A);
 //   gallop        — binary-search probes of A into a much larger sorted B;
 //   merge         — linear merge of two comparably sized sorted arrays
@@ -56,13 +56,6 @@ struct KernelCounters {
 struct IntersectPolicy {
   bool early_exits = true;
   bool second_exit = true;
-  /// Enables the prefetched batch-probe path for hash-backed B.
-  bool batched_probes = true;
-  /// Minimum |A| for batched probing (below this the lookahead is noise).
-  std::size_t batch_min = 2 * kProbeLookahead;
-  /// Sorted-B shape switch: probe A into B (binary search) when
-  /// |B| >= probe_ratio * |A|, else merge linearly.
-  std::size_t probe_ratio = 32;
   /// Dispatch counters; may be null (not counted).
   KernelCounters* counters = nullptr;
 
@@ -298,11 +291,16 @@ struct IntersectPolicy {
     }
   };
 
-  bool use_batch(std::size_t a_size) const {
-    return batched_probes && a_size >= batch_min;
-  }
-  bool probe_beats_merge(std::size_t a_size, std::size_t b_size) const {
-    return b_size >= probe_ratio * std::max<std::size_t>(1, a_size);
+  /// Minimum |A| for batched hash probing (below this the lookahead is
+  /// noise).
+  static constexpr std::size_t kBatchMin = 2 * kProbeLookahead;
+  /// Sorted-B shape switch: probe A into B (binary search) when
+  /// |B| >= kProbeRatio * |A|, else merge linearly.
+  static constexpr std::size_t kProbeRatio = 32;
+
+  static bool use_batch(std::size_t a_size) { return a_size >= kBatchMin; }
+  static bool probe_beats_merge(std::size_t a_size, std::size_t b_size) {
+    return b_size >= kProbeRatio * std::max<std::size_t>(1, a_size);
   }
   void bump(std::atomic<std::uint64_t> KernelCounters::* member) const {
     if (counters) (counters->*member).fetch_add(1, std::memory_order_relaxed);

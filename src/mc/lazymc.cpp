@@ -135,9 +135,7 @@ LazyMCResult lazy_mc(const Graph& g, const LazyMCConfig& config) {
       config.neighborhood_rep != NeighborhoodRep::kSorted) {
     if (!use_prebuilt || !pre->rows.valid() ||
         !lazy.adopt_prebuilt_rows(pre->rows, hybrid)) {
-      lazy.enable_rows(config.bitset_budget_bytes,
-                       RowPolicy{hybrid, config.hybrid_array_max,
-                                 config.hybrid_run_min_saving});
+      lazy.enable_rows(config.bitset_budget_bytes, hybrid);
     }
   }
   lazy.prepopulate(config.prepopulate, /*must_threshold=*/incumbent.size());

@@ -22,6 +22,7 @@
 #include "lazygraph/lazy_graph.hpp"
 #include "mc/neighbor_search.hpp"
 #include "support/control.hpp"
+#include "support/names.hpp"
 #include "support/simd.hpp"
 #include "support/stats_schema.hpp"
 
@@ -37,6 +38,12 @@ enum class VertexOrderKind {
   /// preprocessing (the paper notes all peeling-order MC algorithms are
   /// sequential).
   kPeeling,
+};
+
+/// The --order spellings.
+inline constexpr Named<VertexOrderKind> kVertexOrderNames[] = {
+    {"coreness", VertexOrderKind::kCorenessDegree},
+    {"peeling", VertexOrderKind::kPeeling},
 };
 
 /// Preprocessed inputs carried by a binary graph store
@@ -86,13 +93,6 @@ struct LazyMCConfig {
   /// Memory budget for bitset rows over the zone of interest, in bytes;
   /// 0 disables the bitset representation.
   std::size_t bitset_budget_bytes = std::size_t{64} << 20;
-  /// Hybrid-row container thresholds (kHybrid only).  A row goes to the
-  /// sorted-array container when its in-zone degree is <= hybrid_array_max
-  /// and the array is strictly smaller than the packed words; the run
-  /// container wins only when it is at least hybrid_run_min_saving x
-  /// smaller than the best dense alternative.
-  std::uint32_t hybrid_array_max = 4096;
-  double hybrid_run_min_saving = 2.0;
   /// Early-exit intersection toggles (Fig. 5 ablation).
   bool early_exit_intersections = true;
   bool second_exit = true;

@@ -55,6 +55,7 @@
 #include "mc/incumbent.hpp"
 #include "mc/intersect_policy.hpp"
 #include "support/control.hpp"
+#include "support/names.hpp"
 #include "support/stats_schema.hpp"
 #include "vc/mc_via_vc.hpp"
 
@@ -133,6 +134,13 @@ enum class SplitMode {
   kOn,
   /// Never split; every subproblem solves inside its probe's recursion.
   kOff,
+};
+
+/// The --split spellings.
+inline constexpr Named<SplitMode> kSplitModeNames[] = {
+    {"auto", SplitMode::kAuto},
+    {"on", SplitMode::kOn},
+    {"off", SplitMode::kOff},
 };
 
 /// The immutable part of a decomposed subproblem, shared by every task

@@ -8,6 +8,8 @@
 // (bad_alloc => resource, anything else => internal).
 #pragma once
 
+#include <exception>
+#include <new>
 #include <stdexcept>
 #include <string>
 
@@ -69,5 +71,23 @@ class Error : public std::runtime_error {
   ErrorKind kind_;
   int errno_;
 };
+
+/// Rethrows the in-flight exception and returns it classified: a
+/// structured Error passes through, allocation failure is transient
+/// (resource), anything else is internal.  Call only inside a catch
+/// block.
+inline Error classify_current_exception() {
+  try {
+    throw;
+  } catch (const Error& e) {
+    return e;
+  } catch (const std::bad_alloc&) {
+    return Error(ErrorKind::kResource, "out of memory");
+  } catch (const std::exception& e) {
+    return Error(ErrorKind::kInternal, e.what());
+  } catch (...) {
+    return Error(ErrorKind::kInternal, "unknown exception");
+  }
+}
 
 }  // namespace lazymc

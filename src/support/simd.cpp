@@ -29,15 +29,6 @@ std::atomic<int> g_forced{-1};
 
 }  // namespace
 
-const char* tier_name(Tier t) {
-  switch (t) {
-    case Tier::kScalar: return "scalar";
-    case Tier::kAvx2: return "avx2";
-    case Tier::kAvx512: return "avx512";
-  }
-  return "?";
-}
-
 bool tier_compiled(Tier t) {
   switch (t) {
     case Tier::kScalar: return true;

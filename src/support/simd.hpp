@@ -27,7 +27,10 @@
 #include <cstdint>
 #include <new>
 #include <optional>
+#include <string_view>
 #include <vector>
+
+#include "support/names.hpp"
 
 #if defined(__AVX2__)
 #define LAZYMC_HAVE_AVX2 1
@@ -54,8 +57,20 @@ inline constexpr std::size_t kNumTiers = 3;
 /// aligned vector load.
 inline constexpr std::size_t kRowAlignment = 64;
 
-/// "scalar" / "avx2" / "avx512" (matches the --kernels spellings).
-const char* tier_name(Tier t);
+/// The --kernels spellings of the forced tiers ("auto" means no force).
+inline constexpr Named<Tier> kTierNames[] = {
+    {"scalar", Tier::kScalar},
+    {"avx2", Tier::kAvx2},
+    {"avx512", Tier::kAvx512},
+};
+
+/// "scalar" / "avx2" / "avx512" (kTierNames).
+inline const char* tier_name(Tier t) { return name_of(kTierNames, t); }
+
+/// Inverse of tier_name: the tier spelled `name`, or nullopt.
+inline std::optional<Tier> tier_from_name(std::string_view name) {
+  return from_name(kTierNames, name);
+}
 
 /// Whether the tier's kernels were compiled into this binary (the macro
 /// guards above, evaluated under the build's flags).

@@ -112,6 +112,22 @@ TEST(Protocol, RejectsMalformedRequests) {
   }
 }
 
+TEST(Protocol, AcceptsEveryRepAndRejectsUnknownOnes) {
+  for (const char* rep : {"auto", "hash", "sorted", "bitset", "hybrid"}) {
+    const Request parsed = parse_request(
+        std::string(R"({"verb":"solve","graph":"g","rep":")") + rep + "\"}");
+    EXPECT_EQ(parsed.rep, rep);
+  }
+  try {
+    parse_request(R"({"verb":"solve","graph":"g","rep":"bogus"})");
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kInput);
+    EXPECT_STREQ(e.what(),
+                 "unknown rep 'bogus' (expected auto|hash|sorted|bitset|hybrid)");
+  }
+}
+
 TEST(Protocol, ErrorResponsesCarryKindAndErrno) {
   const std::string line =
       error_response("req-1", ErrorKind::kOverloaded, "queue full", EAGAIN);

@@ -327,8 +327,8 @@ TEST(HybridRowKernels, ArrayMergeAndGallopPaths) {
 
 // ---- LazyGraph container selection ----------------------------------------
 
-// The --rep hybrid policy at the default thresholds.
-constexpr RowPolicy kHybrid{true, 4096, 2.0};
+// The --rep hybrid row policy.
+constexpr bool kHybrid = true;
 
 struct ZoneFixture {
   Graph g;

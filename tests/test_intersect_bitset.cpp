@@ -431,7 +431,7 @@ TEST(IntersectPolicyDispatch, ShapeHeuristicsPickExpectedKernels) {
   policy.size_gt_bool(small_a, mid_sorted, 1);
   EXPECT_EQ(counters.merge.load(), 1u);
 
-  // Hash-backed B: batched when |A| >= batch_min, serial below.
+  // Hash-backed B: batched when |A| >= kBatchMin, serial below.
   HopscotchSet hs = make_set(big_b);
   NeighborhoodView hashed(&hs, {});
   policy.size_gt_bool(small_a, hashed, 1);
