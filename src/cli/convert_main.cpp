@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "cli/graph_source.hpp"
-#include "cli/options.hpp"
+#include "cli/flags.hpp"
 #include "graph/io.hpp"
 #include "kcore/kcore.hpp"
 #include "kcore/order.hpp"

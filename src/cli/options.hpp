@@ -1,6 +1,4 @@
-// Command-line options for the `lazymc` driver binary, plus the strict
-// numeric flag parsers every front end (lazymc, lazymcd, lazymc-ctl,
-// lazymc-convert) shares.
+// Command-line options for the `lazymc` driver binary.
 //
 // Usage:
 //   lazymc --graph <file|gen:name[:scale]> [--graph ...] [--manifest FILE]
@@ -23,14 +21,14 @@
 // The LazyMC flags write straight into Options::config, so their
 // defaults are mc::LazyMCConfig's; the enum flags read the name tables
 // defined next to each enum (kSolverNames, kVertexOrderNames,
-// kNeighborhoodRepNames, kSplitModeNames, simd::kTierNames).
+// kNeighborhoodRepNames, kSplitModeNames, simd::kTierNames) and the
+// numeric flags the parsers in cli/flags.hpp.
 #pragma once
 
 #include <cstddef>
 #include <string>
 #include <vector>
 
-#include "graph/graph.hpp"
 #include "mc/lazymc.hpp"
 #include "support/names.hpp"
 
@@ -95,19 +93,5 @@ std::string usage();
 /// on bad input; sets `wants_help` when --help/-h was given (caller
 /// prints usage, exits 0).
 Options parse_options(int argc, char** argv, bool& wants_help);
-
-// ---- numeric flag values (all front ends) ----------------------------------
-// The whole value must parse; anything else throws Error(kInput) naming
-// `flag`, which every binary maps to exit code 3.
-
-/// A non-negative integer up to INT_MAX (so narrowing it to any
-/// unsigned config field stays exact).
-std::size_t parse_count(const std::string& flag, const std::string& value);
-
-/// A positive, finite number of seconds.
-double parse_seconds(const std::string& flag, const std::string& value);
-
-/// A non-negative integer that fits in a VertexId.
-VertexId parse_vertex_id(const std::string& flag, const std::string& value);
 
 }  // namespace lazymc::cli

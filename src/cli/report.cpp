@@ -188,7 +188,7 @@ RunReport report_header(const LoadedGraph& loaded, const std::string& solver) {
   return report;
 }
 
-bool verify_report(RunReport& report, const Graph& g) {
+void verify_report(RunReport& report, const Graph& g) {
   if (!report.has_mce) {
     const bool ok =
         report.clique.size() == static_cast<std::size_t>(report.omega) &&
@@ -196,7 +196,6 @@ bool verify_report(RunReport& report, const Graph& g) {
     report.verification = ok ? "ok" : "failed";
   }
   report.fault_sites = faults::snapshot();
-  return report.verification != "failed";
 }
 
 RunReport solve_lazymc(const LoadedGraph& loaded, mc::LazyMCConfig config) {

@@ -71,9 +71,8 @@ RunReport report_header(const LoadedGraph& loaded, const std::string& solver);
 /// ones): the clique must be pairwise adjacent in the *input* graph and
 /// match the omega about to be reported.  Sets report.verification to
 /// "ok" or "failed" (MCE reports a count, not a witness, so it stays
-/// "skipped"), snapshots the fault-injection counters, and returns false
-/// when verification failed.
-bool verify_report(RunReport& report, const Graph& g);
+/// "skipped") and snapshots the fault-injection counters.
+void verify_report(RunReport& report, const Graph& g);
 
 /// Runs LazyMC on `loaded` under `config` and returns the verified
 /// report.  A binary store's preprocessing (order, coreness, rows) is

@@ -9,7 +9,7 @@
 #include <optional>
 #include <string>
 
-#include "cli/options.hpp"
+#include "cli/flags.hpp"
 #include "daemon/protocol.hpp"
 #include "support/error.hpp"
 #include "support/jsonmini.hpp"

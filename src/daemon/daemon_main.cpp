@@ -9,7 +9,7 @@
 #include <iostream>
 #include <string>
 
-#include "cli/options.hpp"
+#include "cli/flags.hpp"
 #include "daemon/server.hpp"
 #include "support/error.hpp"
 #include "support/faultinject.hpp"
