@@ -5,6 +5,7 @@
 // definition; every parser and printer reads that table, so a spelling
 // exists in exactly one place.  A value may have several spellings (an
 // alias); the first one listed is canonical and is what name_of prints.
+// Spellings are string literals, so name_of can return them as C strings.
 #pragma once
 
 #include <cstddef>
