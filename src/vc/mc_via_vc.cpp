@@ -22,25 +22,27 @@ McViaVcResult max_clique_via_vc(const DenseSubgraph& s, VertexId lower_bound,
   opt.control = control;
 
   // Clique size c in s  <=>  VC size n - c in comp.
-  // Feasibility of "clique >= c" is monotone decreasing in c; binary
-  // search the largest feasible c in [lower_bound + 1, n].
+  // Probe ascending from the smallest interesting size: most neighborhoods
+  // hold no clique above the bound, and then the first probe, one
+  // infeasible k-VC solve, settles them.  A feasible probe's cover can be
+  // smaller than asked, and its complement is already a clique of size
+  // n - |cover|, so the next probe asks for one more than that.  The first
+  // infeasible probe proves the last clique found maximum.
   std::size_t lo = lower_bound + 1;  // smallest interesting clique size
-  std::size_t hi = n;                // largest possible
   std::vector<VertexId> best_cover;
   bool found = false;
 
-  while (lo <= hi) {
+  while (lo <= n) {
     if (live_bound) {
       // A concurrently grown incumbent makes probes at or below its size
-      // pointless; raising lo retires that part of the range outright.
+      // pointless; raising lo retires those sizes outright.
       VertexId live = live_bound->load(std::memory_order_relaxed);
       live = live > live_bound_offset ? live - live_bound_offset : 0;
       if (static_cast<std::size_t>(live) + 1 > lo) {
         lo = static_cast<std::size_t>(live) + 1;
-        if (lo > hi) break;
+        if (lo > n) break;
       }
     }
-    std::size_t c = lo + (hi - lo) / 2;
     if (node_budget != 0) {
       if (out.nodes >= node_budget) {
         out.budget_exhausted = true;
@@ -48,7 +50,7 @@ McViaVcResult max_clique_via_vc(const DenseSubgraph& s, VertexId lower_bound,
       }
       opt.max_nodes = node_budget - out.nodes;
     }
-    KvcResult r = solve_kvc(comp, static_cast<std::int64_t>(n - c), opt,
+    KvcResult r = solve_kvc(comp, static_cast<std::int64_t>(n - lo), opt,
                             sc.kvc);
     out.nodes += r.nodes;
     if (r.timed_out) {
@@ -59,14 +61,10 @@ McViaVcResult max_clique_via_vc(const DenseSubgraph& s, VertexId lower_bound,
       out.budget_exhausted = true;
       return out;
     }
-    if (r.feasible) {
-      found = true;
-      best_cover = std::move(r.cover);
-      lo = c + 1;
-    } else {
-      if (c == 0) break;
-      hi = c - 1;
-    }
+    if (!r.feasible) break;
+    found = true;
+    best_cover = std::move(r.cover);
+    lo = n - best_cover.size() + 1;
   }
   if (!found) return out;
 

@@ -3,9 +3,11 @@
 // A clique of size c in S corresponds to a vertex cover of size |S| - c in
 // the complement of S.  LazyMC routes *dense* subgraphs here: their
 // complements are sparse, where the VC kernelisation rules shine.  Like
-// dOmega we use repeated k-VC feasibility probes, but — differently — the
-// binary search is applied within a single neighborhood's plausible range
-// [lower_bound+1, |S|].
+// dOmega we use repeated k-VC feasibility probes, but within a single
+// neighborhood's plausible range [lower_bound+1, |S|], in ascending order:
+// the first probe asks for lower_bound+1, which in the common "no better
+// clique here" case is the only probe.  A feasible probe jumps past the
+// clique its cover implies, and the first infeasible probe ends the search.
 #pragma once
 
 #include <atomic>
@@ -51,10 +53,10 @@ struct VcScratch {
 /// re-read before every feasibility probe after subtracting
 /// `live_bound_offset` (saturating): probes for clique sizes the live
 /// incumbent already covers are skipped, so a bound raised by another
-/// thread mid-solve retires the remaining binary-search range.  With a
-/// live bound the result is maximum *relative to the live bound* — a
-/// clique no larger than it may be elided, which is harmless for callers
-/// publishing into that same incumbent.
+/// thread mid-solve retires the sizes it covers.  With a live bound the
+/// result is maximum *relative to the live bound* — a clique no larger
+/// than it may be elided, which is harmless for callers publishing into
+/// that same incumbent.
 McViaVcResult max_clique_via_vc(const DenseSubgraph& s, VertexId lower_bound,
                                 const SolveControl* control = nullptr,
                                 std::uint64_t node_budget = 0,
