@@ -5,6 +5,23 @@
 namespace lazymc::vc {
 namespace {
 
+/// Lowest index >= i set in both `a` and `b` (same size), or a.size()
+/// when there is none.  Scans a word at a time, so a neighbor search
+/// skips 64 non-common candidates per step instead of testing each.
+inline std::size_t find_common_from(const DynamicBitset& a,
+                                    const DynamicBitset& b, std::size_t i) {
+  LAZYMC_ASSERT(a.size() == b.size(), "find_common_from size mismatch");
+  const std::size_t words = a.num_words();
+  std::size_t w = i >> 6;
+  if (w >= words) return a.size();
+  std::uint64_t x = a.word(w) & b.word(w) & (~0ULL << (i & 63));
+  while (x == 0) {
+    if (++w == words) return a.size();
+    x = a.word(w) & b.word(w);
+  }
+  return w * 64 + static_cast<unsigned>(__builtin_ctzll(x));
+}
+
 class Searcher {
  public:
   Searcher(const DenseSubgraph& g, const KvcOptions& opt, KvcScratch& scratch)
@@ -63,14 +80,7 @@ class Searcher {
     for (std::size_t v = free.find_first(); v < free.size();
          v = free.find_next(v)) {
       // v is still free here (find_next skips vertices we reset).
-      std::size_t partner = free.size();
-      for (std::size_t u = g_.adj[v].find_first(); u < g_.adj[v].size();
-           u = g_.adj[v].find_next(u)) {
-        if (u > v && free.test(u)) {
-          partner = u;
-          break;
-        }
-      }
+      const std::size_t partner = find_common_from(g_.adj[v], free, v + 1);
       if (partner != free.size()) {
         free.reset(v);
         free.reset(partner);
@@ -193,14 +203,7 @@ class Searcher {
         }
         if (d == 1) {
           // Take the sole neighbor.
-          std::size_t u = alive.size();
-          for (std::size_t w = g_.adj[v].find_first(); w < g_.adj[v].size();
-               w = g_.adj[v].find_next(w)) {
-            if (alive.test(w)) {
-              u = w;
-              break;
-            }
-          }
+          const std::size_t u = find_common_from(g_.adj[v], alive, 0);
           cover.push_back(static_cast<VertexId>(u));
           remove_vertex(alive, deg, u);
           remove_vertex(alive, deg, v);
@@ -211,17 +214,8 @@ class Searcher {
         if (d == 2) {
           // Triangle rule (merge-free degree-2 case): if the two
           // neighbors are adjacent, both are in some minimum cover.
-          std::size_t u1 = alive.size(), u2 = alive.size();
-          for (std::size_t w = g_.adj[v].find_first(); w < g_.adj[v].size();
-               w = g_.adj[v].find_next(w)) {
-            if (!alive.test(w)) continue;
-            if (u1 == alive.size()) {
-              u1 = w;
-            } else {
-              u2 = w;
-              break;
-            }
-          }
+          const std::size_t u1 = find_common_from(g_.adj[v], alive, 0);
+          const std::size_t u2 = find_common_from(g_.adj[v], alive, u1 + 1);
           if (u2 != alive.size() && g_.adj[u1].test(u2)) {
             cover.push_back(static_cast<VertexId>(u1));
             cover.push_back(static_cast<VertexId>(u2));
@@ -300,9 +294,9 @@ class Searcher {
         next_deg = deg;
         std::size_t taken = 0;
         std::size_t before = cover.size();
-        for (std::size_t u = g_.adj[max_v].find_first();
-             u < g_.adj[max_v].size(); u = g_.adj[max_v].find_next(u)) {
-          if (!alive.test(u)) continue;
+        const DynamicBitset& row = g_.adj[max_v];
+        for (std::size_t u = find_common_from(row, alive, 0); u < alive.size();
+             u = find_common_from(row, alive, u + 1)) {
           cover.push_back(static_cast<VertexId>(u));
           remove_vertex(next, next_deg, u);
           ++taken;
