@@ -170,6 +170,22 @@ run_lazymc(hybrid_json --graph gen:flickr:tiny --rep hybrid --json)
 string(REGEX MATCH "\"hybrid_rows\":{[^}]*}" hybrid_rows "${hybrid_json}")
 expect("${hybrid_rows}" ":[1-9]" "--rep hybrid counts its rows")
 
+# 10. Deterministic k-VC work at one thread.  Each count must repeat
+# exactly, and a change that moves one explains why in CHANGES.md.
+# flickr's 13 VC-routed neighborhoods each cost one root node: a single
+# infeasible probe at the incumbent bound settles every one of them.
+function(expect_vc_work graph vc_nodes solved_vc)
+  foreach(round 1 2)
+    run_lazymc(work_json --graph "${graph}" --threads 1 --json)
+    expect("${work_json}" "\"vc_nodes\":${vc_nodes}[,}]"
+           "${graph} vc_nodes (run ${round})")
+    expect("${work_json}" "\"solved_vc\":${solved_vc}[,}]"
+           "${graph} solved_vc (run ${round})")
+  endforeach()
+endfunction()
+expect_vc_work(gen:WormNet:small 126 117)
+expect_vc_work(gen:flickr:small 13 13)
+
 # --- exit-code contract (documented in --help and the README) -----------
 
 function(expect_exit expected what)

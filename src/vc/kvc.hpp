@@ -73,8 +73,9 @@ KvcResult solve_kvc(const DenseSubgraph& g, std::int64_t k,
 KvcResult solve_kvc(const DenseSubgraph& g, std::int64_t k,
                     const KvcOptions& options, KvcScratch& scratch);
 
-/// Exact minimum vertex cover size via descending feasibility probes
-/// (test convenience; the production path uses mc_via_vc's binary search).
+/// Exact minimum vertex cover size, by binary search over k with one
+/// feasibility probe per step.  A test convenience: the production path,
+/// max_clique_via_vc, probes ascending clique sizes instead.
 std::size_t minimum_vertex_cover(const DenseSubgraph& g,
                                  const KvcOptions& options = {});
 

@@ -137,10 +137,9 @@ TEST(AllocHook, SolverReachingProbesAreAllocationFreeOnMcPath) {
 #if !LAZYMC_ALLOC_HOOK_ACTIVE
   GTEST_SKIP() << "allocation hook disabled under sanitizers";
 #else
-  // Denser graph with a sub-optimal incumbent: probes reach the MC
+  // Denser graph: probes survive the filters and reach the MC
   // branch-and-bound, whose frames/coloring buffers all live in the
-  // scratch arena.  (The k-VC route still allocates internally and keeps
-  // its own budget; it is not exercised here.)
+  // scratch arena.  The k-VC route has its own case below.
   Graph g = gen::gnp(120, 0.25, 403);
   set_num_threads(1);
 
@@ -170,6 +169,48 @@ TEST(AllocHook, SolverReachingProbesAreAllocationFreeOnMcPath) {
   EXPECT_GT(stats.solved_mc.load(), 0u)
       << "expected some probes to reach the MC solver";
   EXPECT_EQ(allocs, 0u) << "MC-path probes allocated " << allocs << " times";
+  set_num_threads(0);
+#endif
+}
+
+TEST(AllocHook, SteadyStateKvcProbesAreAllocationFree) {
+#if !LAZYMC_ALLOC_HOOK_ACTIVE
+  GTEST_SKIP() << "allocation hook disabled under sanitizers";
+#else
+  // Every survivor goes to k-VC (φ = 0) against an optimal incumbent, so
+  // each reaching probe is one infeasible k-VC solve — the steady state of
+  // the VC route.  Complement, branch frames, degree arrays and matching
+  // bitsets all live in the scratch arena once warmed.
+  Graph g = gen::gnp(120, 0.25, 403);
+  set_num_threads(1);
+
+  auto core = kcore::coreness(g);
+  auto order = kcore::order_by_coreness_degree(g, core.coreness);
+  Incumbent incumbent;
+  incumbent.offer(baselines::max_clique_reference(g));
+
+  LazyGraph lazy(g, order, core.coreness, &incumbent.size_atomic());
+  mc::SearchStats warm_stats;
+  mc::NeighborSearchOptions opt;
+  opt.density_threshold = 0.0;  // force every survivor onto the k-VC path
+  mc::SearchScratch scratch;
+
+  const VertexId n = lazy.num_vertices();
+  for (VertexId v = 0; v < n; ++v) {
+    mc::neighbor_search(lazy, v, incumbent, opt, warm_stats, scratch);
+  }
+
+  mc::SearchStats stats;
+  const std::uint64_t before = g_thread_allocs;
+  for (VertexId v = 0; v < n; ++v) {
+    mc::neighbor_search(lazy, v, incumbent, opt, stats, scratch);
+  }
+  const std::uint64_t allocs = g_thread_allocs - before;
+
+  EXPECT_GT(stats.solved_vc.load(), 0u)
+      << "expected some probes to reach the k-VC solver";
+  EXPECT_EQ(stats.solved_mc.load(), 0u);
+  EXPECT_EQ(allocs, 0u) << "k-VC probes allocated " << allocs << " times";
   set_num_threads(0);
 #endif
 }

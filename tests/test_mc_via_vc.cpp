@@ -1,6 +1,8 @@
 // Tests for maximum clique via k-VC on the complement (algorithmic choice).
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "baselines/reference.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -90,6 +92,68 @@ TEST(McViaVc, NodesAccumulateAcrossProbes) {
   DenseSubgraph s = induce_all(g);
   auto r = vc::max_clique_via_vc(s, 0);
   EXPECT_GT(r.nodes, 0u);
+}
+
+// ---- probe order: ascending from the bound, jumping on each cover ------
+
+TEST(McViaVc, EveryLowerBoundMatchesNaive) {
+  // Below omega the answer is a maximum clique; at or above it, nothing.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Graph g = gen::gnp(18, 0.75, seed);
+    const std::size_t omega = baselines::max_clique_naive(g).size();
+    DenseSubgraph s = induce_all(g);
+    for (std::size_t lb = 0; lb <= omega + 1; ++lb) {
+      auto r = vc::max_clique_via_vc(s, static_cast<VertexId>(lb));
+      EXPECT_EQ(r.clique.size(), lb < omega ? omega : 0u)
+          << "seed " << seed << " lower_bound " << lb;
+      EXPECT_TRUE(local_clique(s, r.clique));
+      EXPECT_FALSE(r.budget_exhausted);
+    }
+  }
+}
+
+TEST(McViaVc, AbsenceCostsExactlyOneProbe) {
+  // With the bound at omega the first probe (clique omega + 1, cover
+  // n - omega - 1) is infeasible and ends the search.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Graph g = gen::gnp(40, 0.7, seed);
+    const std::size_t omega = baselines::max_clique_reference(g).size();
+    DenseSubgraph s = induce_all(g);
+    const std::size_t n = s.size();
+    auto r = vc::max_clique_via_vc(s, static_cast<VertexId>(omega));
+    EXPECT_TRUE(r.clique.empty());
+    auto probe = vc::solve_kvc(s.complement(),
+                               static_cast<std::int64_t>(n - omega - 1));
+    EXPECT_FALSE(probe.feasible);
+    EXPECT_EQ(r.nodes, probe.nodes) << "seed " << seed;
+  }
+}
+
+TEST(McViaVc, CompleteGraphFinishesOnOneFeasibleProbe) {
+  // The first probe asks for a clique of size 1; its cover is empty, so
+  // the jump goes straight past n and no second probe runs.
+  DenseSubgraph s = induce_all(gen::complete(8));
+  auto r = vc::max_clique_via_vc(s, 0);
+  EXPECT_EQ(r.clique.size(), 8u);
+  EXPECT_EQ(r.nodes, vc::solve_kvc(s.complement(), 7).nodes);
+}
+
+TEST(McViaVc, LiveBoundPastSizeSkipsEveryProbe) {
+  DenseSubgraph s = induce_all(gen::gnp(20, 0.7, 5));
+  const std::atomic<VertexId> live{static_cast<VertexId>(s.size() + 3)};
+  auto r = vc::max_clique_via_vc(s, 0, nullptr, 0, nullptr, &live, 1);
+  EXPECT_TRUE(r.clique.empty());
+  EXPECT_EQ(r.nodes, 0u);
+  EXPECT_FALSE(r.budget_exhausted);
+  EXPECT_FALSE(r.timed_out);
+}
+
+TEST(McViaVc, NodeBudgetOfOneIsExhausted) {
+  DenseSubgraph s = induce_all(gen::gnp(30, 0.7, 6));
+  auto r = vc::max_clique_via_vc(s, 0, nullptr, /*node_budget=*/1);
+  EXPECT_TRUE(r.budget_exhausted);
+  EXPECT_TRUE(r.clique.empty());
+  EXPECT_FALSE(r.timed_out);
 }
 
 }  // namespace
