@@ -133,13 +133,14 @@ TEST(AllocHook, SteadyStateNeighborSearchProbesAreAllocationFree) {
 #endif
 }
 
-TEST(AllocHook, SolverReachingProbesAreAllocationFreeOnMcPath) {
-#if !LAZYMC_ALLOC_HOOK_ACTIVE
-  GTEST_SKIP() << "allocation hook disabled under sanitizers";
-#else
-  // Denser graph: probes survive the filters and reach the MC
-  // branch-and-bound, whose frames/coloring buffers all live in the
-  // scratch arena.  The k-VC route has its own case below.
+#if LAZYMC_ALLOC_HOOK_ACTIVE
+// Denser graph with an optimal incumbent: probes survive the filters and
+// reach the solver that `density_threshold` routes them to.  A warm-up
+// pass grows every scratch container to its high-water mark; returns the
+// heap allocations of a second, identical pass, whose counters land in
+// `stats`.
+std::uint64_t solver_probe_allocs(double density_threshold,
+                                  mc::SearchStats& stats) {
   Graph g = gen::gnp(120, 0.25, 403);
   set_num_threads(1);
 
@@ -151,7 +152,7 @@ TEST(AllocHook, SolverReachingProbesAreAllocationFreeOnMcPath) {
   LazyGraph lazy(g, order, core.coreness, &incumbent.size_atomic());
   mc::SearchStats warm_stats;
   mc::NeighborSearchOptions opt;
-  opt.density_threshold = 1.1;  // force every survivor onto the MC path
+  opt.density_threshold = density_threshold;
   mc::SearchScratch scratch;
 
   const VertexId n = lazy.num_vertices();
@@ -159,17 +160,28 @@ TEST(AllocHook, SolverReachingProbesAreAllocationFreeOnMcPath) {
     mc::neighbor_search(lazy, v, incumbent, opt, warm_stats, scratch);
   }
 
-  mc::SearchStats stats;
   const std::uint64_t before = g_thread_allocs;
   for (VertexId v = 0; v < n; ++v) {
     mc::neighbor_search(lazy, v, incumbent, opt, stats, scratch);
   }
   const std::uint64_t allocs = g_thread_allocs - before;
+  set_num_threads(0);
+  return allocs;
+}
+#endif  // LAZYMC_ALLOC_HOOK_ACTIVE
 
+TEST(AllocHook, SolverReachingProbesAreAllocationFreeOnMcPath) {
+#if !LAZYMC_ALLOC_HOOK_ACTIVE
+  GTEST_SKIP() << "allocation hook disabled under sanitizers";
+#else
+  // The MC branch-and-bound's frames/coloring buffers all live in the
+  // scratch arena.
+  mc::SearchStats stats;
+  const std::uint64_t allocs =
+      solver_probe_allocs(/*density_threshold=*/1.1, stats);
   EXPECT_GT(stats.solved_mc.load(), 0u)
       << "expected some probes to reach the MC solver";
   EXPECT_EQ(allocs, 0u) << "MC-path probes allocated " << allocs << " times";
-  set_num_threads(0);
 #endif
 }
 
@@ -177,41 +189,17 @@ TEST(AllocHook, SteadyStateKvcProbesAreAllocationFree) {
 #if !LAZYMC_ALLOC_HOOK_ACTIVE
   GTEST_SKIP() << "allocation hook disabled under sanitizers";
 #else
-  // Every survivor goes to k-VC (φ = 0) against an optimal incumbent, so
-  // each reaching probe is one infeasible k-VC solve — the steady state of
-  // the VC route.  Complement, branch frames, degree arrays and matching
-  // bitsets all live in the scratch arena once warmed.
-  Graph g = gen::gnp(120, 0.25, 403);
-  set_num_threads(1);
-
-  auto core = kcore::coreness(g);
-  auto order = kcore::order_by_coreness_degree(g, core.coreness);
-  Incumbent incumbent;
-  incumbent.offer(baselines::max_clique_reference(g));
-
-  LazyGraph lazy(g, order, core.coreness, &incumbent.size_atomic());
-  mc::SearchStats warm_stats;
-  mc::NeighborSearchOptions opt;
-  opt.density_threshold = 0.0;  // force every survivor onto the k-VC path
-  mc::SearchScratch scratch;
-
-  const VertexId n = lazy.num_vertices();
-  for (VertexId v = 0; v < n; ++v) {
-    mc::neighbor_search(lazy, v, incumbent, opt, warm_stats, scratch);
-  }
-
+  // φ = 0 sends every survivor to k-VC; against the optimal incumbent
+  // each is one infeasible probe, the steady state of the VC route.  The
+  // complement, branch frames, degree arrays and matching bitsets all
+  // live in the scratch arena.
   mc::SearchStats stats;
-  const std::uint64_t before = g_thread_allocs;
-  for (VertexId v = 0; v < n; ++v) {
-    mc::neighbor_search(lazy, v, incumbent, opt, stats, scratch);
-  }
-  const std::uint64_t allocs = g_thread_allocs - before;
-
+  const std::uint64_t allocs =
+      solver_probe_allocs(/*density_threshold=*/0.0, stats);
   EXPECT_GT(stats.solved_vc.load(), 0u)
       << "expected some probes to reach the k-VC solver";
   EXPECT_EQ(stats.solved_mc.load(), 0u);
   EXPECT_EQ(allocs, 0u) << "k-VC probes allocated " << allocs << " times";
-  set_num_threads(0);
 #endif
 }
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <utility>
 
 #include "baselines/reference.hpp"
 #include "graph/builder.hpp"
@@ -28,9 +29,12 @@ bool local_clique(const DenseSubgraph& s, const std::vector<VertexId>& c) {
 }
 
 TEST(McViaVc, CompleteGraph) {
+  // The first probe asks for a clique of size 1; its cover is empty, so
+  // the jump goes straight past n and no second probe runs.
   DenseSubgraph s = induce_all(gen::complete(8));
   auto r = vc::max_clique_via_vc(s, 0);
   EXPECT_EQ(r.clique.size(), 8u);
+  EXPECT_EQ(r.nodes, vc::solve_kvc(s.complement(), 7).nodes);
 }
 
 TEST(McViaVc, EdgelessGraph) {
@@ -41,14 +45,23 @@ TEST(McViaVc, EdgelessGraph) {
 }
 
 TEST(McViaVc, MatchesNaiveOnDenseRandomGraphs) {
-  // Dense graphs are the regime this path is chosen for.
-  for (std::uint64_t seed = 1; seed <= 15; ++seed) {
-    Graph g = gen::gnp(16, 0.7, seed);
-    auto naive = baselines::max_clique_naive(g);
-    DenseSubgraph s = induce_all(g);
-    auto r = vc::max_clique_via_vc(s, 0);
-    EXPECT_EQ(r.clique.size(), naive.size()) << "seed " << seed;
-    EXPECT_TRUE(local_clique(s, r.clique)) << "seed " << seed;
+  // Dense graphs are the regime this path is chosen for.  Below omega the
+  // answer is a maximum clique; at or above it, nothing.  At p = 0.75 some
+  // feasible probes return covers larger than the minimum, so the search
+  // must keep probing past the first clique it finds.
+  for (auto [n, p] : {std::pair<VertexId, double>{16, 0.7}, {18, 0.75}}) {
+    for (std::uint64_t seed = 1; seed <= 15; ++seed) {
+      Graph g = gen::gnp(n, p, seed);
+      const std::size_t omega = baselines::max_clique_naive(g).size();
+      DenseSubgraph s = induce_all(g);
+      for (std::size_t lb = 0; lb <= omega + 1; ++lb) {
+        auto r = vc::max_clique_via_vc(s, static_cast<VertexId>(lb));
+        EXPECT_EQ(r.clique.size(), lb < omega ? omega : 0u)
+            << "p " << p << " seed " << seed << " lower_bound " << lb;
+        EXPECT_TRUE(local_clique(s, r.clique)) << "seed " << seed;
+        EXPECT_FALSE(r.budget_exhausted);
+      }
+    }
   }
 }
 
@@ -96,22 +109,6 @@ TEST(McViaVc, NodesAccumulateAcrossProbes) {
 
 // ---- probe order: ascending from the bound, jumping on each cover ------
 
-TEST(McViaVc, EveryLowerBoundMatchesNaive) {
-  // Below omega the answer is a maximum clique; at or above it, nothing.
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    Graph g = gen::gnp(18, 0.75, seed);
-    const std::size_t omega = baselines::max_clique_naive(g).size();
-    DenseSubgraph s = induce_all(g);
-    for (std::size_t lb = 0; lb <= omega + 1; ++lb) {
-      auto r = vc::max_clique_via_vc(s, static_cast<VertexId>(lb));
-      EXPECT_EQ(r.clique.size(), lb < omega ? omega : 0u)
-          << "seed " << seed << " lower_bound " << lb;
-      EXPECT_TRUE(local_clique(s, r.clique));
-      EXPECT_FALSE(r.budget_exhausted);
-    }
-  }
-}
-
 TEST(McViaVc, AbsenceCostsExactlyOneProbe) {
   // With the bound at omega the first probe (clique omega + 1, cover
   // n - omega - 1) is infeasible and ends the search.
@@ -127,15 +124,6 @@ TEST(McViaVc, AbsenceCostsExactlyOneProbe) {
     EXPECT_FALSE(probe.feasible);
     EXPECT_EQ(r.nodes, probe.nodes) << "seed " << seed;
   }
-}
-
-TEST(McViaVc, CompleteGraphFinishesOnOneFeasibleProbe) {
-  // The first probe asks for a clique of size 1; its cover is empty, so
-  // the jump goes straight past n and no second probe runs.
-  DenseSubgraph s = induce_all(gen::complete(8));
-  auto r = vc::max_clique_via_vc(s, 0);
-  EXPECT_EQ(r.clique.size(), 8u);
-  EXPECT_EQ(r.nodes, vc::solve_kvc(s.complement(), 7).nodes);
 }
 
 TEST(McViaVc, LiveBoundPastSizeSkipsEveryProbe) {
