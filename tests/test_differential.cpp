@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <functional>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -46,7 +45,7 @@ const Route kRoutes[] = {
 
 struct Family {
   const char* name;
-  std::function<Graph(std::uint64_t seed)> make;
+  Graph (*make)(std::uint64_t seed);
 };
 
 // Sized so the heuristics often miss the optimum and some neighborhoods
