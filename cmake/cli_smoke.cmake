@@ -186,6 +186,20 @@ endfunction()
 expect_vc_work(gen:WormNet:small 126 117)
 expect_vc_work(gen:flickr:small 13 13)
 
+# 11. Deterministic degree-heuristic answer at one thread.  The greedy
+# steps run over each seed's induced bitset rows; the first strictly
+# largest count wins, so the picked clique must repeat exactly.
+function(expect_degree_omega graph omega)
+  foreach(round 1 2)
+    run_lazymc(work_json --graph "${graph}" --threads 1 --json)
+    expect("${work_json}" "\"heuristic_degree_omega\":${omega}[,}]"
+           "${graph} heuristic_degree_omega (run ${round})")
+  endforeach()
+endfunction()
+expect_degree_omega(gen:WormNet:small 37)
+expect_degree_omega(gen:mouse:small 68)
+expect_degree_omega(gen:human-2:small 94)
+
 # --- exit-code contract (documented in --help and the README) -----------
 
 function(expect_exit expected what)

@@ -7,10 +7,6 @@
 
 namespace lazymc {
 
-bool SortedLookup::contains(VertexId v) const {
-  return std::binary_search(data_.begin(), data_.end(), v);
-}
-
 std::size_t intersect_sorted(std::span<const VertexId> a,
                              std::span<const VertexId> b, VertexId* out) {
   std::size_t i = 0, j = 0, n = 0;

@@ -5,7 +5,7 @@
 //   intersect_gt            — give me the exact result set, but only if it
 //                             is larger than θ (heuristic search);
 //   intersect_size_gt_val   — give me the exact size if it is larger than
-//                             θ (argmax-degree scans, filter 3);
+//                             θ (filter 3);
 //   intersect_size_gt_bool  — just tell me whether it exceeds θ
 //                             (filter 2), with a *second* early exit that
 //                             answers true as soon as enough elements have
@@ -17,6 +17,7 @@
 // thread-safe (read-only on inputs).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -39,7 +40,9 @@ concept MembershipSet = requires(const S& s, VertexId v) {
 class SortedLookup {
  public:
   explicit SortedLookup(std::span<const VertexId> sorted) : data_(sorted) {}
-  bool contains(VertexId v) const;
+  bool contains(VertexId v) const {
+    return std::binary_search(data_.begin(), data_.end(), v);
+  }
   std::size_t size() const { return data_.size(); }
 
  private:

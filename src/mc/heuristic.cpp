@@ -1,10 +1,87 @@
 #include "mc/heuristic.hpp"
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
+#include "intersect/intersect.hpp"
+#include "support/bitset.hpp"
 #include "support/parallel.hpp"
 
 namespace lazymc::mc {
+
+namespace {
+
+// A seed's induced rows are built only once its live candidate set has at
+// most this many vertices: 4096^2 bits is 2 MiB, and at most one seed runs
+// per worker.  A larger (hub) candidate set takes scatter-counted steps
+// until it shrinks below the cap.
+constexpr std::size_t kMaxRowVertices = 4096;
+
+// One greedy step over a candidate set too large for rows.  `in_cand`
+// marks exactly `cand` over all of g; each candidate's degree inside the
+// set is counted by walking its neighbour list.  Returns the first
+// candidate (ascending) with the strictly largest count.
+VertexId scatter_argmax(const Graph& g, std::span<const VertexId> cand,
+                        const DynamicBitset& in_cand) {
+  std::size_t best_deg = 0;
+  VertexId best = kInvalidVertex;
+  for (VertexId w : cand) {
+    std::size_t d = 0;
+    for (VertexId u : g.neighbors(w)) d += in_cand.test(u) ? 1 : 0;
+    if (best == kInvalidVertex || d > best_deg) {
+      best_deg = d;
+      best = w;
+    }
+  }
+  return best;
+}
+
+// Greedy growth over rows of G[cand] (`cand` ascending, at most
+// kMaxRowVertices): each step takes the first live candidate with the
+// strictly largest popcount of (row & live), then keeps only its
+// neighbours live.  Appends the picks to `clique`.
+void grow_over_rows(const Graph& g, std::span<const VertexId> cand,
+                    std::vector<VertexId>& clique) {
+  const std::size_t m = cand.size();
+  std::vector<DynamicBitset> adj(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    adj[i].reinit(m);
+    // Merge the sorted N(cand[i]) against the sorted cand (cheaper than
+    // induce_dense's hash lookups, which cannot assume sorted input).
+    auto nbrs = g.neighbors(cand[i]);
+    auto it = nbrs.begin();
+    std::size_t j = 0;
+    while (it != nbrs.end() && j < m) {
+      if (*it < cand[j]) {
+        ++it;
+      } else if (cand[j] < *it) {
+        ++j;
+      } else {
+        adj[i].set(j);
+        ++it;
+        ++j;
+      }
+    }
+  }
+  DynamicBitset live(m);
+  for (std::size_t i = 0; i < m; ++i) live.set(i);
+  while (live.any()) {
+    std::size_t best = m;
+    std::size_t best_deg = 0;
+    live.for_each([&](std::size_t w) {
+      std::size_t d = adj[w].count_and(live);
+      if (best == m || d > best_deg) {
+        best_deg = d;
+        best = w;
+      }
+    });
+    clique.push_back(cand[best]);
+    live.and_with(adj[best]);
+  }
+}
+
+}  // namespace
 
 void degree_based_heuristic(const Graph& g, Incumbent& incumbent,
                             const HeuristicOptions& options) {
@@ -33,33 +110,25 @@ void degree_based_heuristic(const Graph& g, Incumbent& incumbent,
       if (g.degree(u) >= bound) candidates.push_back(u);
     }
     std::vector<VertexId> clique{v};
-    std::vector<VertexId> next(candidates.size());
 
-    while (!candidates.empty()) {
-      // Greedy step: candidate with the largest degree inside the
-      // candidate set, found with early-exit intersections keyed to the
-      // running maximum (Algorithm 5 lines 7-8).
-      std::int64_t best_deg = -1;
-      VertexId best = kInvalidVertex;
-      std::span<const VertexId> cand_span(candidates);
-      for (VertexId w : candidates) {
-        SortedLookup w_nbrs(g.neighbors(w));
-        int d = options.intersect.size_gt_val(cand_span, w_nbrs, best_deg);
-        if (d != kTooSmall && d > best_deg) {
-          best_deg = d;
-          best = w;
-        }
+    // Greedy step (Algorithm 5 lines 7-8): the candidate with the largest
+    // degree inside the candidate set, ties to the lowest id; then the
+    // candidate set shrinks to its neighbours.
+    if (candidates.size() > kMaxRowVertices) {
+      DynamicBitset in_cand(n);
+      for (VertexId u : candidates) in_cand.set(u);
+      std::vector<VertexId> next(candidates.size());
+      while (candidates.size() > kMaxRowVertices) {
+        VertexId best = scatter_argmax(g, candidates, in_cand);
+        clique.push_back(best);
+        for (VertexId u : candidates) in_cand.reset(u);
+        std::size_t kept =
+            intersect_sorted(candidates, g.neighbors(best), next.data());
+        candidates.assign(next.begin(), next.begin() + kept);
+        for (VertexId u : candidates) in_cand.set(u);
       }
-      if (best == kInvalidVertex) {
-        // All remaining candidates are mutually non-adjacent; take one.
-        best = candidates.front();
-      }
-      clique.push_back(best);
-      // candidates = candidates ∩ N(best), exactly.
-      SortedLookup best_nbrs(g.neighbors(best));
-      std::size_t kept = intersect_hash(cand_span, best_nbrs, next.data());
-      candidates.assign(next.begin(), next.begin() + kept);
     }
+    grow_over_rows(g, candidates, clique);
     incumbent.offer(clique);
   }, 1);
 }

@@ -2,7 +2,7 @@
 //
 // Every |A ∩ B| > θ question in the search funnels through IntersectPolicy.
 // The template methods keep the original behavior for an explicit
-// membership structure B (tests, the degree heuristic's SortedLookup); the
+// membership structure B (tests, the gallop route's SortedLookup); the
 // NeighborhoodView overloads are the *adaptive dispatcher*: one routine
 // (`dispatch`) inspects which representation B actually has (zone row /
 // hopscotch set / sorted array) and the |A| vs |B| shape, bumps the
