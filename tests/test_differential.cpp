@@ -1,13 +1,14 @@
 // Differential route gate: LazyMC's independent solve routes must each
 // return the reference solver's omega.  The routes are forced through
 // the algorithmic-choice knobs (density threshold φ and the k-VC node
-// budget): all-VC, all-VC with a budget small enough to force fallbacks
-// to the MC solver, all-MC, and the defaults — at 1 and 4 threads, over
-// graph families that stress the k-VC probes (dense gnp, planted cliques,
-// complements of sparse graphs, overlapping dense blocks with near-tied
-// clique sizes).  Each solve also runs from a cold incumbent (no
-// degree-heuristic seeds), so the k-VC probes must find cliques and not
-// only refute them.
+// budget, plus the intersection exits): all-VC, all-VC with a budget
+// small enough to force fallbacks to the MC solver, all-MC, the defaults,
+// and the defaults under the Fig. 5 "no early exits" ablation (every
+// intersection exact) — at 1 and 4 threads, over graph families that
+// stress the k-VC probes (dense gnp, planted cliques, complements of
+// sparse graphs, overlapping dense blocks with near-tied clique sizes).
+// Each solve also runs from a cold incumbent (no degree-heuristic seeds),
+// so the k-VC probes must find cliques and not only refute them.
 //
 // The default run takes a few seconds.  LAZYMC_SOAK=N runs N times as
 // many seeds per family, for a longer soak.
@@ -31,6 +32,8 @@ struct Route {
   const char* name;
   double density_threshold;
   std::uint64_t vc_node_budget_per_vertex;
+  bool early_exit_intersections = true;
+  bool second_exit = true;
 };
 
 const mc::LazyMCConfig kDefaults;
@@ -41,6 +44,8 @@ const Route kRoutes[] = {
     {"all-mc", 1.1, kDefaults.vc_node_budget_per_vertex},
     {"default", kDefaults.density_threshold,
      kDefaults.vc_node_budget_per_vertex},
+    {"no-early-exits", kDefaults.density_threshold,
+     kDefaults.vc_node_budget_per_vertex, false, false},
 };
 
 struct Family {
@@ -98,6 +103,8 @@ TEST_F(DifferentialTest, EveryRouteMatchesReference) {
             mc::LazyMCConfig cfg;
             cfg.density_threshold = route.density_threshold;
             cfg.vc_node_budget_per_vertex = route.vc_node_budget_per_vertex;
+            cfg.early_exit_intersections = route.early_exit_intersections;
+            cfg.second_exit = route.second_exit;
             cfg.heuristic_top_k = top_k;
             const mc::LazyMCResult r = mc::lazy_mc(g, cfg);
             const std::string where =

@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "hashset/hopscotch_set.hpp"
@@ -58,6 +60,42 @@ struct OwnedRow {
                      row.popcount,
                      static_cast<std::uint32_t>(words.size()),
                      RowContainer::kBitset};
+  }
+};
+
+/// Owning helper: the same set as kArray and kRun hybrid-row containers.
+struct OwnedContainers {
+  std::vector<std::uint64_t> array_words;  // sorted u32 zone offsets
+  std::vector<std::uint64_t> run_words;    // (start, length) u32 pairs
+  HybridRow array_row;
+  HybridRow run_row;
+
+  OwnedContainers(const std::vector<VertexId>& elements, VertexId zone_begin,
+                  VertexId zone_bits) {
+    std::vector<std::uint32_t> offs, runs;
+    for (VertexId v : elements) {
+      const std::uint32_t off = v - zone_begin;
+      if (offs.empty() || off != offs.back() + 1) {
+        runs.push_back(off);
+        runs.push_back(1);
+      } else {
+        ++runs.back();
+      }
+      offs.push_back(off);
+    }
+    // Payloads are carved in 64-bit words, like LazyGraph's arena.
+    array_words.assign(offs.size() / 2 + 1, 0);
+    run_words.assign(runs.size() / 2 + 1, 0);
+    std::copy(offs.begin(), offs.end(),
+              reinterpret_cast<std::uint32_t*>(array_words.data()));
+    std::copy(runs.begin(), runs.end(),
+              reinterpret_cast<std::uint32_t*>(run_words.data()));
+    const auto count = static_cast<std::uint32_t>(offs.size());
+    array_row = HybridRow{array_words.data(), zone_begin, zone_bits,
+                          count, count, RowContainer::kArray};
+    run_row = HybridRow{run_words.data(), zone_begin, zone_bits, count,
+                        static_cast<std::uint32_t>(runs.size() / 2),
+                        RowContainer::kRun};
   }
 };
 
@@ -125,8 +163,8 @@ TEST(BitsetKernels, MatchReferenceExhaustively) {
         const BitsetRow& row = owned.row;
         const auto expected = intersect_reference(a, b);
         const std::int64_t truth = static_cast<std::int64_t>(expected.size());
-        EXPECT_EQ(intersect_size(aw, row), expected.size());
 
+        // θ = -1 is the exact intersection.
         const std::int64_t max_theta = static_cast<std::int64_t>(
             std::min(a.size(), b.size()) + 2);
         for (std::int64_t theta = -1; theta <= max_theta; ++theta) {
@@ -196,10 +234,9 @@ TEST(BitsetKernelTiers, AllTiersMatchReferenceAtVectorBoundaries) {
           const auto expected = intersect_reference(a, b);
           const std::int64_t truth =
               static_cast<std::int64_t>(expected.size());
-          EXPECT_EQ(intersect_size(aw, row), expected.size());
           std::vector<VertexId> out(a.size() + 1);
-          EXPECT_EQ(intersect_words(aw, row, out.data()), expected.size());
 
+          // θ = -1 is the exact intersection.
           const std::int64_t max_theta =
               static_cast<std::int64_t>(std::min(a.size(), b.size()) + 2);
           for (std::int64_t theta = -1; theta <= max_theta; ++theta) {
@@ -297,7 +334,7 @@ TEST(PrefetchKernels, MatchScalarHashKernels) {
       HopscotchSet bs = make_set(b);
       std::span<const VertexId> as(a);
 
-      EXPECT_EQ(intersect_size_prefetch(as, bs), intersect_size(as, bs));
+      // θ = -1 is the exact intersection.
       const std::int64_t max_theta =
           static_cast<std::int64_t>(std::min(a.size(), bs.size()) + 2);
       for (std::int64_t theta = -1; theta <= max_theta; ++theta) {
@@ -339,7 +376,7 @@ TEST(SortedKernels, SizeGtValMatchesReference) {
     b.erase(std::unique(b.begin(), b.end()), b.end());
     const std::int64_t truth =
         static_cast<std::int64_t>(intersect_reference(a, b).size());
-    EXPECT_EQ(intersect_sorted_size(a, b), static_cast<std::size_t>(truth));
+    // θ = -1 is the exact intersection.
     for (std::int64_t theta = -1; theta <= 12; ++theta) {
       int r = intersect_sorted_size_gt_val(a, b, theta);
       EXPECT_EQ(r, truth > theta ? static_cast<int>(truth) : kTooSmall)
@@ -348,49 +385,75 @@ TEST(SortedKernels, SizeGtValMatchesReference) {
   }
 }
 
+/// Every dispatch counter by name, for comparing two policies' routes.
+std::map<std::string, std::uint64_t> counter_values(
+    const mc::KernelCounters& c) {
+  std::map<std::string, std::uint64_t> v = {
+      {"merge", c.merge.load()},
+      {"gallop", c.gallop.load()},
+      {"hash", c.hash.load()},
+      {"hash_batched", c.hash_batched.load()},
+      {"bitset_probe", c.bitset_probe.load()},
+      {"bitset_word", c.bitset_word.load()},
+      {"array_gallop", c.array_gallop.load()},
+      {"run_and", c.run_and.load()}};
+  for (std::size_t t = 0; t < simd::kNumTiers; ++t) {
+    v["word_tier" + std::to_string(t)] = c.word_tier[t].load();
+  }
+  return v;
+}
+
 // The adaptive dispatcher must give representation-independent answers:
-// the same A and B presented as a hash set, a sorted array, or a bitset
-// row (with and without the word form of A) agree with the reference for
-// every kernel and θ, and the counters record where each call ran.
+// the same A and B presented as a hash set, a sorted array, or a kBitset,
+// kArray or kRun zone row (with and without the word form of A) agree
+// with the reference for every kernel and θ, under the default policy
+// and both Fig. 5 ablations.  The ablations change only the kernels'
+// exits, never the route: all three policies bump identical counters for
+// every input, and every route is taken somewhere.  Odd rounds use a
+// 40-bit zone, so A and B overlap heavily and the exits fire late.
 TEST(IntersectPolicyDispatch, AllRepresentationsAgree) {
   Rng rng(444);
   const VertexId zone_begin = 5;
-  const VertexId zone_bits = 130;
-  mc::KernelCounters counters;
-  mc::IntersectPolicy policy;
-  policy.counters = &counters;
-  mc::IntersectPolicy no_exits;
-  no_exits.early_exits = false;
-  no_exits.second_exit = false;
+  const mc::IntersectPolicy policies[] = {
+      {true, true}, {false, false}, {true, false}};
+  std::map<std::string, std::uint64_t> totals;
 
   for (int round = 0; round < 120; ++round) {
+    const VertexId zone_bits = round % 2 ? 40 : 130;
     auto a = random_zone_set(rng, 30, zone_begin, zone_bits);
     auto b = random_zone_set(rng, 30, zone_begin, zone_bits);
     SparseWordSet aw;
     aw.build({a.data(), a.size()}, zone_begin);
     OwnedRow owned(b, zone_begin, zone_bits);
+    OwnedContainers containers(b, zone_begin, zone_bits);
     HopscotchSet hs = make_set(b);
 
     NeighborhoodView hash_view(&hs, {});
     NeighborhoodView sorted_view(nullptr, {b.data(), b.size()});
     NeighborhoodView bitset_view(nullptr, {}, owned.zone_row());
-    const NeighborhoodView* views[] = {&hash_view, &sorted_view, &bitset_view};
+    NeighborhoodView array_view(nullptr, {}, containers.array_row);
+    NeighborhoodView run_view(nullptr, {}, containers.run_row);
+    const NeighborhoodView* views[] = {&hash_view, &sorted_view, &bitset_view,
+                                       &array_view, &run_view};
 
     const auto expected = intersect_reference(a, b);
     const std::int64_t truth = static_cast<std::int64_t>(expected.size());
     std::span<const VertexId> as(a);
 
-    for (std::int64_t theta = -1; theta <= 10; ++theta) {
-      for (const NeighborhoodView* view : views) {
-        for (const SparseWordSet* words :
-             {static_cast<const SparseWordSet*>(nullptr),
-              static_cast<const SparseWordSet*>(&aw)}) {
-          for (const mc::IntersectPolicy* p : {&policy, &no_exits}) {
-            EXPECT_EQ(p->size_gt_bool(as, *view, theta, words), truth > theta);
-            EXPECT_EQ(p->size_gt_val(as, *view, theta, words),
+    for (const NeighborhoodView* view : views) {
+      for (const SparseWordSet* words :
+           {static_cast<const SparseWordSet*>(nullptr),
+            static_cast<const SparseWordSet*>(&aw)}) {
+        mc::KernelCounters counters[std::size(policies)];
+        for (std::size_t i = 0; i < std::size(policies); ++i) {
+          mc::IntersectPolicy p = policies[i];
+          p.counters = &counters[i];
+          for (std::int64_t theta = -1; theta <= 10; ++theta) {
+            EXPECT_EQ(p.size_gt_bool(as, *view, theta, words), truth > theta);
+            EXPECT_EQ(p.size_gt_val(as, *view, theta, words),
                       truth > theta ? static_cast<int>(truth) : kTooSmall);
             std::vector<VertexId> out(a.size() + 1);
-            int g = p->gt(as, *view, out.data(), theta, words);
+            int g = p.gt(as, *view, out.data(), theta, words);
             if (truth > theta) {
               ASSERT_EQ(g, static_cast<int>(truth));
               out.resize(expected.size());
@@ -401,14 +464,18 @@ TEST(IntersectPolicyDispatch, AllRepresentationsAgree) {
             }
           }
         }
+        const auto reference = counter_values(counters[0]);
+        EXPECT_EQ(counter_values(counters[1]), reference) << "no early exits";
+        EXPECT_EQ(counter_values(counters[2]), reference) << "no second exit";
+        for (const auto& [name, n] : reference) totals[name] += n;
       }
     }
   }
   // Every representation path was exercised and counted.
-  EXPECT_GT(counters.bitset_word.load(), 0u);
-  EXPECT_GT(counters.bitset_probe.load(), 0u);
-  EXPECT_GT(counters.hash.load() + counters.hash_batched.load(), 0u);
-  EXPECT_GT(counters.merge.load() + counters.gallop.load(), 0u);
+  for (const char* route : {"bitset_word", "bitset_probe", "array_gallop",
+                            "run_and", "hash", "hash_batched", "merge"}) {
+    EXPECT_GT(totals[route], 0u) << route;
+  }
 }
 
 TEST(IntersectPolicyDispatch, ShapeHeuristicsPickExpectedKernels) {
