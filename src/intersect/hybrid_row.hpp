@@ -214,8 +214,8 @@ class HybridWordCursor {
 };
 
 /// Visits the occupied words of a hybrid row ascending as (index, bits);
-/// stops early when fn returns false.  Used by the hybrid x hybrid
-/// kernels, where the A side is a row rather than a SparseWordSet.
+/// stops early when fn returns false.  LazyGraph's row build uses it to
+/// check a freshly encoded row's popcount in checked builds.
 template <typename Fn>
 void for_each_word(const HybridRow& r, Fn&& fn) {
   switch (r.kind) {
@@ -340,32 +340,6 @@ int cursor_gt(const SparseWordSet& a, Cursor cur, VertexId zone_begin,
   return static_cast<int>(written);
 }
 
-template <typename Cursor>
-std::size_t cursor_size(const SparseWordSet& a, Cursor cur) {
-  std::size_t hits = 0;
-  const std::uint32_t* idx = a.indices().data();
-  const std::uint64_t* bits = a.bits().data();
-  const std::size_t ne = a.num_entries();
-  for (std::size_t k = 0; k < ne; ++k) {
-    hits += static_cast<std::size_t>(std::popcount(bits[k] & cur.word(idx[k])));
-  }
-  return hits;
-}
-
-template <typename Cursor>
-std::size_t cursor_words(const SparseWordSet& a, Cursor cur,
-                         VertexId zone_begin, VertexId* out) {
-  std::size_t written = 0;
-  const std::uint32_t* idx = a.indices().data();
-  const std::uint64_t* bits = a.bits().data();
-  const std::size_t ne = a.num_entries();
-  for (std::size_t k = 0; k < ne; ++k) {
-    written += wp::detail::extract_word(bits[k] & cur.word(idx[k]), idx[k],
-                                        zone_begin, out + written);
-  }
-  return written;
-}
-
 }  // namespace hybrid_detail
 
 inline int intersect_size_gt_val(const SparseWordSet& a, const HybridRow& b,
@@ -420,37 +394,6 @@ inline int intersect_gt(const SparseWordSet& a, const HybridRow& b,
           out, theta);
   }
   return kTooSmall;
-}
-
-inline std::size_t intersect_size(const SparseWordSet& a, const HybridRow& b) {
-  switch (b.kind) {
-    case RowContainer::kBitset:
-      return wp::active_table().size(a, b.as_bitset());
-    case RowContainer::kArray:
-      return hybrid_detail::cursor_size(
-          a, hybrid_detail::ArrayWordCursor(b.u32(), b.units));
-    case RowContainer::kRun:
-      return hybrid_detail::cursor_size(
-          a, hybrid_detail::RunWordCursor(b.u32(), b.units));
-  }
-  return 0;
-}
-
-inline std::size_t intersect_words(const SparseWordSet& a, const HybridRow& b,
-                                   VertexId* out) {
-  switch (b.kind) {
-    case RowContainer::kBitset:
-      return wp::active_table().words(a, b.as_bitset(), out);
-    case RowContainer::kArray:
-      return hybrid_detail::cursor_words(
-          a, hybrid_detail::ArrayWordCursor(b.u32(), b.units), b.zone_begin,
-          out);
-    case RowContainer::kRun:
-      return hybrid_detail::cursor_words(
-          a, hybrid_detail::RunWordCursor(b.u32(), b.units), b.zone_begin,
-          out);
-  }
-  return 0;
 }
 
 // --------------------------------------------------------------------------
@@ -583,97 +526,6 @@ inline int hybrid_array_gt(std::span<const VertexId> a, const HybridRow& b,
     }
   }
   return static_cast<int>(written);
-}
-
-// --------------------------------------------------------------------------
-// HybridRow x HybridRow.  Used by tests/bench and any future row-vs-row
-// filtering; A's occupied words stream through B's cursor, with the same
-// monotone exits at word granularity (remaining-count form, since a row
-// has a popcount but no prefix array).
-
-inline bool intersect_size_gt_bool(const HybridRow& a, const HybridRow& b,
-                                   std::int64_t theta,
-                                   bool enable_second_exit = true) {
-  const std::int64_t n = static_cast<std::int64_t>(a.size());
-  const std::int64_t m = static_cast<std::int64_t>(b.size());
-  if (n <= theta || m <= theta) return false;
-  hybrid_detail::HybridWordCursor cur(b);
-  std::int64_t hits = 0;
-  std::int64_t remaining = n;
-  bool decided = false;
-  bool result = false;
-  hybrid_detail::for_each_word(a, [&](std::uint32_t w, std::uint64_t bits) {
-    remaining -= std::popcount(bits);
-    hits += std::popcount(bits & cur.word(w));
-    if (hits + remaining <= theta) {
-      decided = true;
-      result = false;
-      return false;
-    }
-    if (enable_second_exit && hits > theta) {
-      decided = true;
-      result = true;
-      return false;
-    }
-    return true;
-  });
-  return decided ? result : hits > theta;
-}
-
-inline int intersect_size_gt_val(const HybridRow& a, const HybridRow& b,
-                                 std::int64_t theta) {
-  const std::int64_t n = static_cast<std::int64_t>(a.size());
-  const std::int64_t m = static_cast<std::int64_t>(b.size());
-  if (n <= theta || m <= theta) return kTooSmall;
-  hybrid_detail::HybridWordCursor cur(b);
-  std::int64_t hits = 0;
-  std::int64_t remaining = n;
-  bool too_small = false;
-  hybrid_detail::for_each_word(a, [&](std::uint32_t w, std::uint64_t bits) {
-    remaining -= std::popcount(bits);
-    hits += std::popcount(bits & cur.word(w));
-    if (hits + remaining <= theta) {
-      too_small = true;
-      return false;
-    }
-    return true;
-  });
-  return too_small ? kTooSmall : static_cast<int>(hits);
-}
-
-inline int intersect_gt(const HybridRow& a, const HybridRow& b, VertexId* out,
-                        std::int64_t theta) {
-  const std::int64_t n = static_cast<std::int64_t>(a.size());
-  const std::int64_t m = static_cast<std::int64_t>(b.size());
-  if (n <= theta || m <= theta) return kTooSmall;
-  hybrid_detail::HybridWordCursor cur(b);
-  std::int64_t hits = 0;
-  std::int64_t remaining = n;
-  std::size_t written = 0;
-  bool too_small = false;
-  const VertexId base = a.zone_begin;
-  hybrid_detail::for_each_word(a, [&](std::uint32_t w, std::uint64_t bits) {
-    remaining -= std::popcount(bits);
-    const std::uint64_t both = bits & cur.word(w);
-    hits += std::popcount(both);
-    written += wp::detail::extract_word(both, w, base, out + written);
-    if (hits + remaining <= theta) {
-      too_small = true;
-      return false;
-    }
-    return true;
-  });
-  return too_small ? kTooSmall : static_cast<int>(written);
-}
-
-inline std::size_t intersect_size(const HybridRow& a, const HybridRow& b) {
-  hybrid_detail::HybridWordCursor cur(b);
-  std::size_t hits = 0;
-  hybrid_detail::for_each_word(a, [&](std::uint32_t w, std::uint64_t bits) {
-    hits += static_cast<std::size_t>(std::popcount(bits & cur.word(w)));
-    return true;
-  });
-  return hits;
 }
 
 }  // namespace lazymc

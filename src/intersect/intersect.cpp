@@ -32,32 +32,6 @@ std::vector<VertexId> intersect_sorted(std::span<const VertexId> a,
   return out;
 }
 
-std::size_t intersect_gallop(std::span<const VertexId> a,
-                             std::span<const VertexId> b, VertexId* out) {
-  // Ensure a is the smaller side.
-  if (a.size() > b.size()) std::swap(a, b);
-  std::size_t n = 0;
-  const VertexId* lo = b.data();
-  const VertexId* end = b.data() + b.size();
-  for (VertexId x : a) {
-    // Exponential search from the current frontier.
-    std::size_t step = 1;
-    const VertexId* probe = lo;
-    while (probe + step < end && *(probe + step) < x) {
-      probe += step;
-      step <<= 1;
-    }
-    const VertexId* hi = std::min(probe + step + 1, end);
-    lo = std::lower_bound(probe, hi, x);
-    if (lo != end && *lo == x) {
-      out[n++] = x;
-      ++lo;
-    }
-    if (lo == end) break;
-  }
-  return n;
-}
-
 int intersect_sorted_gt(std::span<const VertexId> a,
                         std::span<const VertexId> b, VertexId* out,
                         std::int64_t theta) {
@@ -148,23 +122,6 @@ int intersect_sorted_size_gt_val(std::span<const VertexId> a,
   return hits > theta ? static_cast<int>(hits) : kTooSmall;
 }
 
-std::size_t intersect_sorted_size(std::span<const VertexId> a,
-                                  std::span<const VertexId> b) {
-  std::size_t i = 0, j = 0, hits = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      ++hits;
-      ++i;
-      ++j;
-    }
-  }
-  return hits;
-}
-
 // ---- word-parallel kernels (SparseWordSet x BitsetRow) --------------------
 //
 // The kernel bodies live in intersect/wp_kernels.hpp, instantiated once
@@ -200,15 +157,6 @@ int intersect_size_gt_val(const SparseWordSet& a, const BitsetRow& b,
 bool intersect_size_gt_bool(const SparseWordSet& a, const BitsetRow& b,
                             std::int64_t theta, bool enable_second_exit) {
   return wp::active_table().size_gt_bool(a, b, theta, enable_second_exit);
-}
-
-std::size_t intersect_size(const SparseWordSet& a, const BitsetRow& b) {
-  return wp::active_table().size(a, b);
-}
-
-std::size_t intersect_words(const SparseWordSet& a, const BitsetRow& b,
-                            VertexId* out) {
-  return wp::active_table().words(a, b, out);
 }
 
 // ---- prefetched batch probing into a HopscotchSet -------------------------
@@ -310,26 +258,6 @@ bool intersect_size_gt_bool_prefetch(std::span<const VertexId> a,
     }
   }
   return h > 0;
-}
-
-std::size_t intersect_size_prefetch(std::span<const VertexId> a,
-                                    const HopscotchSet& b) {
-  ProbeRing ring(a, b);
-  std::size_t hits = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    hits += ring.probe(i) ? 1 : 0;
-  }
-  return hits;
-}
-
-std::size_t intersect_hash_prefetch(std::span<const VertexId> a,
-                                    const HopscotchSet& b, VertexId* out) {
-  ProbeRing ring(a, b);
-  std::size_t written = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (ring.probe(i)) out[written++] = a[i];
-  }
-  return written;
 }
 
 std::vector<VertexId> intersect_reference(std::span<const VertexId> a,

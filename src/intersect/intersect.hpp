@@ -11,6 +11,11 @@
 //                             answers true as soon as enough elements have
 //                             been found (the paper's key addition).
 //
+// Every representation has one early-exit kernel per question.  θ = -1
+// never exits early, so it is the exact intersection: the Fig. 5 "no
+// early exits" ablation runs the same kernels at θ = -1 (see
+// mc/intersect_policy.hpp).
+//
 // A is always a materialized array; B is anything with a contains()-style
 // membership test (hopscotch hash set, bitset row, or a sorted array via
 // SortedLookup).  All functions are branch-light, allocation-free and
@@ -53,8 +58,9 @@ class SortedLookup {
 inline constexpr int kTooSmall = -1;
 
 // --------------------------------------------------------------------------
-// Exact intersections (no early exit) — used where full results are needed
-// and in tests as the reference.
+// Exact intersections without a threshold: the sorted merge serves
+// callers that need the full result (the baseline solvers and the
+// degree heuristic's hub steps); the probe templates are test references.
 
 /// Sorted-array merge intersection.  Returns the number of elements
 /// written to `out` (out must have room for min(|a|,|b|)).
@@ -65,11 +71,6 @@ std::size_t intersect_sorted(std::span<const VertexId> a,
 /// As above, appending to a vector.
 std::vector<VertexId> intersect_sorted(std::span<const VertexId> a,
                                        std::span<const VertexId> b);
-
-/// Galloping (binary-search) intersection for skewed sizes |a| << |b|.
-std::size_t intersect_gallop(std::span<const VertexId> a,
-                             std::span<const VertexId> b,
-                             VertexId* out);
 
 /// Hash-probe intersection: |a| probes into b.
 template <MembershipSet SetB>
@@ -82,7 +83,7 @@ std::size_t intersect_hash(std::span<const VertexId> a, const SetB& b,
   return n;
 }
 
-/// Exact intersection size via hash probes.
+/// Exact intersection size via membership probes.
 template <MembershipSet SetB>
 std::size_t intersect_size(std::span<const VertexId> a, const SetB& b) {
   std::size_t n = 0;
@@ -186,10 +187,6 @@ int intersect_sorted_size_gt_val(std::span<const VertexId> a,
                                  std::span<const VertexId> b,
                                  std::int64_t theta);
 
-/// Exact merge intersection size (no early exit; "no early exits" policy).
-std::size_t intersect_sorted_size(std::span<const VertexId> a,
-                                  std::span<const VertexId> b);
-
 // --------------------------------------------------------------------------
 // Word-parallel kernels: SparseWordSet A against a BitsetRow B.  Same
 // contracts as the scalar variants above, with the miss-budget / success
@@ -210,14 +207,9 @@ bool intersect_size_gt_bool(const SparseWordSet& a, const BitsetRow& b,
                             std::int64_t theta,
                             bool enable_second_exit = true);
 
-/// Exact word-parallel size / extraction (the "no early exits" policy).
-std::size_t intersect_size(const SparseWordSet& a, const BitsetRow& b);
-std::size_t intersect_words(const SparseWordSet& a, const BitsetRow& b,
-                            VertexId* out);
-
 // --------------------------------------------------------------------------
 // Prefetched batch probing into a HopscotchSet.  Identical results to the
-// scalar hash kernels; home buckets are software-prefetched
+// scalar probe kernels; home buckets are software-prefetched
 // kProbeLookahead iterations ahead so consecutive misses overlap in the
 // memory system instead of serializing on two dependent cache-line loads.
 
@@ -234,14 +226,8 @@ bool intersect_size_gt_bool_prefetch(std::span<const VertexId> a,
                                      const HopscotchSet& b, std::int64_t theta,
                                      bool enable_second_exit = true);
 
-/// Exact batched variants (the "no early exits" policy).
-std::size_t intersect_size_prefetch(std::span<const VertexId> a,
-                                    const HopscotchSet& b);
-std::size_t intersect_hash_prefetch(std::span<const VertexId> a,
-                                    const HopscotchSet& b, VertexId* out);
-
 // --------------------------------------------------------------------------
-// Reference (naive) implementations for property tests.
+// Reference (naive) implementation for property tests.
 
 std::vector<VertexId> intersect_reference(std::span<const VertexId> a,
                                           std::span<const VertexId> b);

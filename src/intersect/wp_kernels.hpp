@@ -45,8 +45,6 @@ struct Table {
   int (*size_gt_val)(const SparseWordSet&, const BitsetRow&, std::int64_t);
   bool (*size_gt_bool)(const SparseWordSet&, const BitsetRow&, std::int64_t,
                        bool);
-  std::size_t (*size)(const SparseWordSet&, const BitsetRow&);
-  std::size_t (*words)(const SparseWordSet&, const BitsetRow&, VertexId*);
 };
 
 /// Width-1 policy: one word per "block", used by the scalar tier (and as
@@ -194,58 +192,8 @@ bool wp_size_gt_bool(const SparseWordSet& a, const BitsetRow& b,
 }
 
 template <typename V>
-std::size_t wp_size(const SparseWordSet& a, const BitsetRow& b) {
-  std::int64_t hits = 0;
-  const std::uint32_t* idx = a.indices().data();
-  const std::uint64_t* bits = a.bits().data();
-  const std::uint64_t* row = b.words;
-  const std::size_t ne = a.num_entries();
-  const bool contig = detail::contiguous(idx, ne);
-  const std::uint64_t* rowp = contig ? row + idx[0] : nullptr;
-  std::size_t k = 0;
-  for (; k + V::kWidth <= ne; k += V::kWidth) {
-    hits += contig ? V::count_contig(bits + k, rowp + k)
-                   : V::count(idx + k, bits + k, row);
-  }
-  for (; k < ne; ++k) hits += std::popcount(bits[k] & row[idx[k]]);
-  return static_cast<std::size_t>(hits);
-}
-
-template <typename V>
-std::size_t wp_words(const SparseWordSet& a, const BitsetRow& b,
-                     VertexId* out) {
-  std::size_t written = 0;
-  const std::uint32_t* idx = a.indices().data();
-  const std::uint64_t* bits = a.bits().data();
-  const std::uint64_t* row = b.words;
-  const VertexId base = b.zone_begin;
-  const std::size_t ne = a.num_entries();
-  const bool contig = detail::contiguous(idx, ne);
-  const std::uint64_t* rowp = contig ? row + idx[0] : nullptr;
-  std::uint64_t and_buf[V::kWidth];
-  std::size_t k = 0;
-  for (; k + V::kWidth <= ne; k += V::kWidth) {
-    if (contig) {
-      V::fill_contig(bits + k, rowp + k, and_buf);
-    } else {
-      V::fill(idx + k, bits + k, row, and_buf);
-    }
-    for (std::size_t j = 0; j < V::kWidth; ++j) {
-      written += detail::extract_word(and_buf[j], idx[k + j], base,
-                                      out + written);
-    }
-  }
-  for (; k < ne; ++k) {
-    written += detail::extract_word(bits[k] & row[idx[k]], idx[k], base,
-                                    out + written);
-  }
-  return written;
-}
-
-template <typename V>
 constexpr Table make_table(simd::Tier tier) {
-  return Table{tier,          &wp_gt<V>,   &wp_size_gt_val<V>,
-               &wp_size_gt_bool<V>, &wp_size<V>, &wp_words<V>};
+  return Table{tier, &wp_gt<V>, &wp_size_gt_val<V>, &wp_size_gt_bool<V>};
 }
 
 const Table& scalar_table();

@@ -1,9 +1,7 @@
 // Adaptive intersection-kernel dispatch plus the Fig. 5 ablation toggles.
 //
-// Every |A ∩ B| > θ question in the search funnels through IntersectPolicy.
-// The template methods keep the original behavior for an explicit
-// membership structure B (tests, the gallop route's SortedLookup); the
-// NeighborhoodView overloads are the *adaptive dispatcher*: one routine
+// Every |A ∩ B| > θ question in the search funnels through IntersectPolicy,
+// whose three entry points take B as a NeighborhoodView.  One routine
 // (`dispatch`) inspects which representation B actually has (zone row /
 // hopscotch set / sorted array) and the |A| vs |B| shape, bumps the
 // matching counter, and routes to
@@ -23,13 +21,17 @@
 //   merge         — linear merge of two comparably sized sorted arrays
 //                   (a kArray row is one too).
 //
-// Each overload supplies only its kernels for those routes (the Kernels
-// structs below).  Each decision bumps a relaxed counter in `counters`
-// (when wired) so reports can show where intersections actually ran.
+// Each question supplies only its early-exit kernels for those routes
+// (the Kernels structs below).  Each decision bumps a relaxed counter in
+// `counters` (when wired) so reports can show where intersections
+// actually ran.
 //
-// Ablation semantics are unchanged: "no early exits" runs the chosen
-// representation's exact kernel and compares afterwards; "no second exit"
-// keeps only the failure exit of intersect-size-gt-bool.
+// Ablation semantics: "no early exits" hands the kernels θ = -1, which
+// makes every early-exit kernel exact, and compares the exact size with θ
+// afterwards (intersect-size-gt-bool asks intersect-size-gt-val).  "No
+// second exit" keeps only the failure exit of intersect-size-gt-bool.
+// Neither toggle changes the route or the counters, only how early a
+// kernel may return.
 #pragma once
 
 #include <algorithm>
@@ -59,37 +61,6 @@ struct IntersectPolicy {
   /// Dispatch counters; may be null (not counted).
   KernelCounters* counters = nullptr;
 
-  // ---- explicit-representation methods (original behavior) ---------------
-
-  /// intersect-gt under the policy: result set when size > theta.
-  template <MembershipSet SetB>
-  int gt(std::span<const VertexId> a, const SetB& b, VertexId* out,
-         std::int64_t theta) const {
-    if (early_exits) return intersect_gt(a, b, out, theta);
-    int n = static_cast<int>(intersect_hash(a, b, out));
-    return n > theta ? n : kTooSmall;
-  }
-
-  /// intersect-size-gt-val under the policy.
-  template <MembershipSet SetB>
-  int size_gt_val(std::span<const VertexId> a, const SetB& b,
-                  std::int64_t theta) const {
-    if (early_exits) return intersect_size_gt_val(a, b, theta);
-    int n = static_cast<int>(intersect_size(a, b));
-    return n > theta ? n : kTooSmall;
-  }
-
-  /// intersect-size-gt-bool under the policy.
-  template <MembershipSet SetB>
-  bool size_gt_bool(std::span<const VertexId> a, const SetB& b,
-                    std::int64_t theta) const {
-    if (!early_exits) {
-      return static_cast<std::int64_t>(intersect_size(a, b)) > theta;
-    }
-    return intersect_size_gt_bool(a, b, theta, second_exit);
-  }
-
-  // ---- adaptive dispatch over a NeighborhoodView --------------------------
   // `a` must be sorted ascending (candidate sets are).  `a_words` is the
   // optional word-packed form of the same A; when present and B has a
   // zone row, the word-parallel kernels run.
@@ -97,25 +68,35 @@ struct IntersectPolicy {
   bool size_gt_bool(std::span<const VertexId> a, const NeighborhoodView& b,
                     std::int64_t theta,
                     const SparseWordSet* a_words = nullptr) const {
-    return dispatch(a, b, a_words, SizeGtBool{this, a, theta});
+    if (!early_exits) return size_gt_val(a, b, theta, a_words) != kTooSmall;
+    return dispatch(a, b, a_words, SizeGtBool{a, theta, second_exit});
   }
 
   int size_gt_val(std::span<const VertexId> a, const NeighborhoodView& b,
                   std::int64_t theta,
                   const SparseWordSet* a_words = nullptr) const {
-    return dispatch(a, b, a_words, SizeGtVal{this, a, theta});
+    const int n = dispatch(a, b, a_words, SizeGtVal{a, kernel_theta(theta)});
+    return n > theta ? n : kTooSmall;
   }
 
   int gt(std::span<const VertexId> a, const NeighborhoodView& b, VertexId* out,
          std::int64_t theta, const SparseWordSet* a_words = nullptr) const {
-    return dispatch(a, b, a_words, Gt{this, a, out, theta});
+    const int n = dispatch(a, b, a_words, Gt{a, out, kernel_theta(theta)});
+    return n > theta ? n : kTooSmall;
   }
 
  private:
+  /// The threshold the kernels see: θ = -1 makes every early-exit kernel
+  /// exact, which is the "no early exits" ablation.
+  std::int64_t kernel_theta(std::int64_t theta) const {
+    return early_exits ? theta : -1;
+  }
+
   /// Picks B's representation and kernel shape, bumps the counter, and
   /// runs the matching kernel of `k`: words (word form of A x zone row),
   /// probe (scalar probes into a MembershipSet), array_merge (merge with
-  /// a kArray row), hash_batched, or sorted_merge.
+  /// a kArray row), hash_batched, or sorted_merge.  The route depends on
+  /// |A|, B's representation and the word form only, never on θ.
   template <class Kernels>
   typename Kernels::Result dispatch(std::span<const VertexId> a,
                                     const NeighborhoodView& b,
@@ -161,132 +142,73 @@ struct IntersectPolicy {
     return k.sorted_merge(s);
   }
 
-  /// |A ∩ row| by probing, for the exact (no early exit) array merge.
-  static std::int64_t array_count(std::span<const VertexId> a,
-                                  const HybridRow& row) {
-    std::int64_t n = 0;
-    for (VertexId v : a) n += row.contains(v) ? 1 : 0;
-    return n;
-  }
-
   struct SizeGtBool {
     using Result = bool;
-    const IntersectPolicy* p;
     std::span<const VertexId> a;
     std::int64_t theta;
+    bool second_exit;
 
     bool words(const SparseWordSet& w, const HybridRow& row) const {
-      if (!p->early_exits) {
-        return static_cast<std::int64_t>(intersect_size(w, row)) > theta;
-      }
-      return intersect_size_gt_bool(w, row, theta, p->second_exit);
+      return intersect_size_gt_bool(w, row, theta, second_exit);
     }
     template <MembershipSet SetB>
     bool probe(const SetB& set) const {
-      return p->size_gt_bool(a, set, theta);
+      return intersect_size_gt_bool(a, set, theta, second_exit);
     }
     bool array_merge(const HybridRow& row) const {
-      if (!p->early_exits) {
-        return array_count(a, row) > theta;
-      }
-      return hybrid_array_size_gt_bool(a, row, theta, p->second_exit);
+      return hybrid_array_size_gt_bool(a, row, theta, second_exit);
     }
     bool hash_batched(const HopscotchSet& set) const {
-      if (!p->early_exits) {
-        return static_cast<std::int64_t>(intersect_size_prefetch(a, set)) >
-               theta;
-      }
-      return intersect_size_gt_bool_prefetch(a, set, theta, p->second_exit);
+      return intersect_size_gt_bool_prefetch(a, set, theta, second_exit);
     }
     bool sorted_merge(std::span<const VertexId> s) const {
-      if (!p->early_exits) {
-        return static_cast<std::int64_t>(intersect_sorted_size(a, s)) > theta;
-      }
-      return intersect_sorted_size_gt_bool(a, s, theta, p->second_exit);
+      return intersect_sorted_size_gt_bool(a, s, theta, second_exit);
     }
   };
 
   struct SizeGtVal {
     using Result = int;
-    const IntersectPolicy* p;
     std::span<const VertexId> a;
     std::int64_t theta;
 
-    int exact(std::int64_t n) const {
-      return n > theta ? static_cast<int>(n) : kTooSmall;
-    }
     int words(const SparseWordSet& w, const HybridRow& row) const {
-      if (!p->early_exits) {
-        return exact(static_cast<std::int64_t>(intersect_size(w, row)));
-      }
       return intersect_size_gt_val(w, row, theta);
     }
     template <MembershipSet SetB>
     int probe(const SetB& set) const {
-      return p->size_gt_val(a, set, theta);
+      return intersect_size_gt_val(a, set, theta);
     }
     int array_merge(const HybridRow& row) const {
-      if (!p->early_exits) {
-        return exact(array_count(a, row));
-      }
       return hybrid_array_size_gt_val(a, row, theta);
     }
     int hash_batched(const HopscotchSet& set) const {
-      if (!p->early_exits) {
-        return exact(
-            static_cast<std::int64_t>(intersect_size_prefetch(a, set)));
-      }
       return intersect_size_gt_val_prefetch(a, set, theta);
     }
     int sorted_merge(std::span<const VertexId> s) const {
-      if (!p->early_exits) {
-        return exact(static_cast<std::int64_t>(intersect_sorted_size(a, s)));
-      }
       return intersect_sorted_size_gt_val(a, s, theta);
     }
   };
 
   struct Gt {
     using Result = int;
-    const IntersectPolicy* p;
     std::span<const VertexId> a;
     VertexId* out;
     std::int64_t theta;
 
-    int exact(std::int64_t n) const {
-      return n > theta ? static_cast<int>(n) : kTooSmall;
-    }
     int words(const SparseWordSet& w, const HybridRow& row) const {
-      if (!p->early_exits) {
-        return exact(static_cast<std::int64_t>(intersect_words(w, row, out)));
-      }
       return intersect_gt(w, row, out, theta);
     }
     template <MembershipSet SetB>
     int probe(const SetB& set) const {
-      return p->gt(a, set, out, theta);
+      return intersect_gt(a, set, out, theta);
     }
     int array_merge(const HybridRow& row) const {
-      if (!p->early_exits) {
-        int n = 0;
-        for (VertexId v : a) {
-          if (row.contains(v)) out[n++] = v;
-        }
-        return exact(n);
-      }
       return hybrid_array_gt(a, row, out, theta);
     }
     int hash_batched(const HopscotchSet& set) const {
-      if (!p->early_exits) {
-        return exact(
-            static_cast<std::int64_t>(intersect_hash_prefetch(a, set, out)));
-      }
       return intersect_gt_prefetch(a, set, out, theta);
     }
     int sorted_merge(std::span<const VertexId> s) const {
-      if (!p->early_exits) {
-        return exact(static_cast<std::int64_t>(intersect_sorted(a, s, out)));
-      }
       return intersect_sorted_gt(a, s, out, theta);
     }
   };

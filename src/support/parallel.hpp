@@ -4,10 +4,10 @@
 // of functionality the algorithms actually need, tuned so the scheduler
 // itself stays off the profile:
 //
-//  * `parallel_for` / `parallel_reduce` are template-dispatched: the body
-//    is invoked through a per-type trampoline (one indirect call per
-//    participant per launch), so per-iteration calls inline — no
-//    `std::function` erasure anywhere on the hot path.
+//  * `parallel_for` is template-dispatched: the body is invoked through a
+//    per-type trampoline (one indirect call per participant per launch),
+//    so per-iteration calls inline — no `std::function` erasure anywhere
+//    on the hot path.
 //  * Iteration ranges are *sharded*: each participant owns a contiguous
 //    slice of [begin, end) and claims grain-sized chunks from it with a
 //    single relaxed fetch_add on its own cache line.  A participant that
@@ -278,31 +278,6 @@ template <typename Body>
 void parallel_for(std::size_t begin, std::size_t end, Body&& body,
                   std::size_t grain = 1) {
   thread_pool().parallel_for(begin, end, std::forward<Body>(body), grain);
-}
-
-/// Parallel reduction: combines `body(i)` over [begin, end) with `combine`,
-/// starting from `identity`.  `combine` must be associative.  Shares the
-/// sharded claiming scheme with parallel_for; per-participant partials are
-/// combined on the calling thread.
-template <typename T, typename Body, typename Combine>
-T parallel_reduce(std::size_t begin, std::size_t end, T identity, Body&& body,
-                  Combine&& combine, std::size_t grain = 256) {
-  if (begin >= end) return identity;
-  ThreadPool& pool = thread_pool();
-  const std::size_t p = pool.num_threads();
-  std::vector<T> partial(p, identity);
-  detail::ShardedRange range(begin, end, p, grain == 0 ? 1 : grain);
-  pool.parallel_invoke_all([&](std::size_t t) {
-    T acc = identity;
-    std::size_t lo = 0, hi = 0;
-    while (range.claim(t, lo, hi)) {
-      for (std::size_t i = lo; i < hi; ++i) acc = combine(acc, body(i));
-    }
-    partial[t] = acc;
-  });
-  T result = identity;
-  for (const T& v : partial) result = combine(result, v);
-  return result;
 }
 
 /// A sharded multi-producer multi-consumer work queue for irregular work

@@ -245,41 +245,6 @@ TEST(HybridRowKernels, EmptyRows) {
   EXPECT_EQ(intersect_size_gt_val(empty_a, b.run_row(), -1), 0);
 }
 
-TEST(HybridRowKernels, HybridVersusHybridAgree) {
-  RowSet a = random_row(100, 500, 0.3, 21);
-  RowSet b = random_row(100, 500, 0.4, 22);
-  std::size_t expected = 0;
-  std::vector<VertexId> expected_set;
-  for (std::uint32_t o : a.offs) {
-    if (b.plain_row().contains(100 + o)) {
-      ++expected;
-      expected_set.push_back(100 + o);
-    }
-  }
-  const HybridRow lhs[] = {a.array_row(), a.bitset_row_hybrid(), a.run_row()};
-  const HybridRow rhs[] = {b.array_row(), b.bitset_row_hybrid(), b.run_row()};
-  const std::int64_t e = static_cast<std::int64_t>(expected);
-  for (const HybridRow& x : lhs) {
-    for (const HybridRow& y : rhs) {
-      for (std::int64_t theta : {std::int64_t{-1}, e - 1, e}) {
-        EXPECT_EQ(intersect_size_gt_val(x, y, theta),
-                  e > theta ? static_cast<int>(e) : kTooSmall);
-        EXPECT_EQ(intersect_size_gt_bool(x, y, theta), e > theta);
-        std::vector<VertexId> out(a.offs.size() + 1);
-        const int got = intersect_gt(x, y, out.data(), theta);
-        if (e > theta) {
-          ASSERT_EQ(got, static_cast<int>(expected));
-          out.resize(expected);
-          EXPECT_EQ(out, expected_set);
-        } else {
-          EXPECT_EQ(got, kTooSmall);
-        }
-      }
-      EXPECT_EQ(intersect_size(x, y), expected);
-    }
-  }
-}
-
 TEST(HybridRowKernels, ArrayMergeAndGallopPaths) {
   // The no-word-form paths: merge (hybrid_array_*) and gallop
   // (HybridArrayLookup through the generic templates).

@@ -45,29 +45,6 @@ TEST(IntersectSorted, DisjointAndEmpty) {
   EXPECT_TRUE(intersect_sorted(a, {}).empty());
 }
 
-TEST(IntersectGallop, MatchesMergeOnSkewedSizes) {
-  Rng rng(3);
-  std::vector<VertexId> small, large;
-  for (int i = 0; i < 20; ++i) small.push_back(static_cast<VertexId>(rng.next_below(10000)));
-  for (int i = 0; i < 5000; ++i) large.push_back(static_cast<VertexId>(rng.next_below(10000)));
-  std::sort(small.begin(), small.end());
-  small.erase(std::unique(small.begin(), small.end()), small.end());
-  std::sort(large.begin(), large.end());
-  large.erase(std::unique(large.begin(), large.end()), large.end());
-
-  auto expected = intersect_sorted(small, large);
-  std::vector<VertexId> out(std::min(small.size(), large.size()));
-  std::size_t n = intersect_gallop(small, large, out.data());
-  out.resize(n);
-  EXPECT_EQ(out, expected);
-
-  // Also with arguments swapped (gallop normalizes internally).
-  std::vector<VertexId> out2(std::min(small.size(), large.size()));
-  std::size_t n2 = intersect_gallop(large, small, out2.data());
-  out2.resize(n2);
-  EXPECT_EQ(out2, expected);
-}
-
 TEST(IntersectHash, MatchesReference) {
   auto a = vec({5, 1, 9, 12, 40});
   auto b = vec({9, 40, 2});

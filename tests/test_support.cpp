@@ -107,14 +107,6 @@ TEST(ThreadPool, ReusableAcrossManyJobs) {
   }
 }
 
-TEST(ParallelReduce, SumsCorrectly) {
-  set_num_threads(4);
-  std::uint64_t sum = parallel_reduce<std::uint64_t>(
-      0, 10000, 0, [](std::size_t i) { return static_cast<std::uint64_t>(i); },
-      [](std::uint64_t a, std::uint64_t b) { return a + b; });
-  EXPECT_EQ(sum, 10000ull * 9999 / 2);
-}
-
 TEST(GlobalPool, SetNumThreadsTakesEffect) {
   set_num_threads(3);
   EXPECT_EQ(num_threads(), 3u);
