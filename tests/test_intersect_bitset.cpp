@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -83,13 +84,16 @@ struct OwnedContainers {
       }
       offs.push_back(off);
     }
-    // Payloads are carved in 64-bit words, like LazyGraph's arena.
+    // Payloads are carved in 64-bit words, like LazyGraph's arena.  An
+    // empty vector's data() may be null, which memcpy must not see.
     array_words.assign(offs.size() / 2 + 1, 0);
     run_words.assign(runs.size() / 2 + 1, 0);
-    std::copy(offs.begin(), offs.end(),
-              reinterpret_cast<std::uint32_t*>(array_words.data()));
-    std::copy(runs.begin(), runs.end(),
-              reinterpret_cast<std::uint32_t*>(run_words.data()));
+    if (!offs.empty()) {
+      std::memcpy(array_words.data(), offs.data(), offs.size() * 4);
+    }
+    if (!runs.empty()) {
+      std::memcpy(run_words.data(), runs.data(), runs.size() * 4);
+    }
     const auto count = static_cast<std::uint32_t>(offs.size());
     array_row = HybridRow{array_words.data(), zone_begin, zone_bits,
                           count, count, RowContainer::kArray};
